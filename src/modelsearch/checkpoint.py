@@ -15,8 +15,10 @@ old tasks registered but excluded from task sampling.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -159,8 +161,11 @@ def save_checkpoint(state, path, meta_extra: dict | None = None):
     arrays = [("actor/" + n, actor.get(n)) for n in actor.layout.names()]
     arrays += [("critic/" + n, critic.get(n)) for n in critic.layout.names()]
 
+    # each file is written beside its target and renamed over it, so a
+    # failed write leaves the previous checkpoint in place
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as f:
+        with open(tmp, "wb") as f:
             f.write(MAGIC)
             f.write(struct.pack("<I", FORMAT_VERSION))
             f.write(space_fingerprint(actor.space))
@@ -170,13 +175,18 @@ def save_checkpoint(state, path, meta_extra: dict | None = None):
             f.write(struct.pack("<I", len(arrays)))
             for name, arr in arrays:
                 _write_array(f, name, arr)
-        with open(str(path) + ".manifest.txt", "w") as f:
+        os.replace(tmp, path)
+        with open(tmp, "w") as f:
             f.write(f"format_version {FORMAT_VERSION}\n")
             f.write(f"fingerprint {space_fingerprint(actor.space).hex()}\n")
             for name, arr in arrays:
                 f.write(f"{name} {'x'.join(str(d) for d in arr.shape)}\n")
+        os.replace(tmp, str(path) + ".manifest.txt")
     except OSError as e:
         raise IoFailure(f"cannot write checkpoint at {path}: {e}") from e
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path, space: SearchSpace) -> CheckpointState:

@@ -12,6 +12,7 @@ projection because positions have disjoint choice vocabularies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ class ControllerDims:
         return self.action_embed + self.task_embed
 
 
+# every snapshot of one controller shape shares this layout; nothing mutates it
+@functools.lru_cache
 def _build_layout(space: SearchSpace, dims: ControllerDims, n_tasks: int) -> ParamLayout:
     entries = []
     for l in range(dims.num_layers):
@@ -208,8 +211,9 @@ def _forward(
     T = space.n_params
     task_ids = np.atleast_1d(np.asarray(task_ids, dtype=np.int64))
     B = task_ids.shape[0]
-    for t in task_ids:
-        params.check_task(t)
+    bad = (task_ids < 0) | (task_ids >= params.n_tasks)
+    if np.any(bad):
+        raise UnknownTask(int(task_ids[bad][0]))
 
     sampling = actions is None
     if not sampling:

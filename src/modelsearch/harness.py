@@ -46,14 +46,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_writer(f):
+    return csv.writer(f, lineterminator="\n")
+
+
 class _EventWriter:
     def __init__(self, path: Path):
         self.f = open(path, "w", newline="")
-        self.f.write(",".join(EVENT_HEADER) + "\n")
+        self.w = _csv_writer(self.f)
+        self.w.writerow(EVENT_HEADER)
 
     def __call__(self, e: Event):
-        self.f.write(
-            f"{e.iteration},{e.task_name},{_fmt(e.reward)},{_fmt(e.baseline)},{_fmt(e.advantage_norm)}\n"
+        self.w.writerow(
+            [e.iteration, e.task_name, _fmt(e.reward), _fmt(e.baseline), _fmt(e.advantage_norm)]
         )
 
     def close(self):
@@ -117,7 +122,8 @@ def _write_aggregate(config: ExperimentConfig, out_dir: Path, results: list):
     for task in task_names:
         path = agg / f"curve_{task}.csv"
         with open(path, "w", newline="") as f:
-            f.write("seed,iteration,reward,reward_smoothed\n")
+            w = _csv_writer(f)
+            w.writerow(["seed", "iteration", "reward", "reward_smoothed"])
             for result in results:
                 grouped = _group_events(result.events)
                 if task not in grouped:
@@ -125,13 +131,14 @@ def _write_aggregate(config: ExperimentConfig, out_dir: Path, results: list):
                 iters, rewards = grouped[task]
                 smoothed = smooth_with_auto_window(rewards)
                 for i, r, s in zip(iters, rewards, smoothed):
-                    f.write(f"{result.seed},{i},{_fmt(r)},{_fmt(s)}\n")
+                    w.writerow([result.seed, i, _fmt(r), _fmt(s)])
         artifacts.append(str(Path("aggregate") / path.name))
 
     # heatmap and correlations come from the first seed's final controller
     rep = results[0]
     with open(agg / "heatmap.csv", "w", newline="") as f:
-        f.write("task,parameter,choice,probability\n")
+        w = _csv_writer(f)
+        w.writerow(["task", "parameter", "choice", "probability"])
         for entry in rep.registry:
             if not entry.active:
                 continue
@@ -147,7 +154,7 @@ def _write_aggregate(config: ExperimentConfig, out_dir: Path, results: list):
                 )
             for p, marg in zip(config.space.params, margs):
                 for choice, prob in zip(p.choices, marg):
-                    f.write(f"{entry.name},{p.name},{choice},{_fmt(prob)}\n")
+                    w.writerow([entry.name, p.name, str(choice), _fmt(prob)])
     artifacts.append("aggregate/heatmap.csv")
 
     all_ids = [e.task_id for e in rep.registry]
@@ -158,11 +165,12 @@ def _write_aggregate(config: ExperimentConfig, out_dir: Path, results: list):
             log.warning("skipping correlation matrix: degenerate embedding")
         else:
             with open(agg / "embedding_correlations.csv", "w", newline="") as f:
-                f.write("task_a,task_b,pearson\n")
+                w = _csv_writer(f)
+                w.writerow(["task_a", "task_b", "pearson"])
                 for i, a in enumerate(all_ids):
                     for j, b in enumerate(all_ids):
-                        f.write(
-                            f"{rep.registry.entry(a).name},{rep.registry.entry(b).name},{_fmt(corr[i, j])}\n"
+                        w.writerow(
+                            [rep.registry.entry(a).name, rep.registry.entry(b).name, _fmt(corr[i, j])]
                         )
             artifacts.append("aggregate/embedding_correlations.csv")
     return artifacts
@@ -273,12 +281,13 @@ def report_compare(run_dirs, threshold: float, window: int = 101, poly_order: in
 
 def write_report(rows, path):
     with open(path, "w", newline="") as f:
-        f.write("run,seed,task,iterations_to_threshold,best_reward,auc_smoothed\n")
+        w = _csv_writer(f)
+        w.writerow(
+            ["run", "seed", "task", "iterations_to_threshold", "best_reward", "auc_smoothed"]
+        )
         for r in rows:
             its = NOT_REACHED if r.iterations_to_threshold is None else r.iterations_to_threshold
-            f.write(
-                f"{r.run},{r.seed},{r.task},{its},{_fmt(r.best_reward)},{_fmt(r.auc_smoothed)}\n"
-            )
+            w.writerow([r.run, r.seed, r.task, its, _fmt(r.best_reward), _fmt(r.auc_smoothed)])
 
 
 def run_experiment(

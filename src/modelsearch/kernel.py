@@ -6,7 +6,10 @@ All functions are pure: they never mutate their inputs and accept either a
 single vector (shape ``(d,)``) or a batch (shape ``(B, d)``).
 
 Gate layout inside the fused ``4H`` dimension is ``[input, forget,
-candidate, output]``.
+candidate, output]``. Each layer step applies the sigmoid once across the
+whole fused ``4H`` row; the input, forget and output gates are views into
+that result, and the sigmoid of the candidate column is discarded (the
+candidate takes ``tanh`` of its pre-activation instead).
 """
 
 from __future__ import annotations
@@ -19,13 +22,15 @@ from .errors import ShapeMismatch
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign to avoid overflow in exp
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
+    # minimum(x, -x) rather than -abs(x) keeps the sign bit of a NaN input;
+    # the in-place steps keep the temporaries to two arrays of x's size.
+    e = np.minimum(x, -x)
+    np.exp(e, out=e)
+    s = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -58,7 +63,7 @@ class LstmLayerParams:
     def input_size(self) -> int:
         return self.w_x.shape[0]
 
-    def check(self):
+    def __post_init__(self):
         h = self.hidden_size
         if self.w_x.shape[1] != 4 * h or self.w_h.shape != (h, 4 * h) or self.b.shape != (4 * h,):
             raise ShapeMismatch(
@@ -98,10 +103,11 @@ class LstmStepRecord:
 def _layer_forward(p: LstmLayerParams, x, h_prev, c_prev):
     h = p.hidden_size
     z = x @ p.w_x + h_prev @ p.w_h + p.b
-    i = sigmoid(z[..., 0 * h : 1 * h])
-    f = sigmoid(z[..., 1 * h : 2 * h])
+    s = sigmoid(z)
+    i = s[..., 0 * h : 1 * h]
+    f = s[..., 1 * h : 2 * h]
     g = np.tanh(z[..., 2 * h : 3 * h])
-    o = sigmoid(z[..., 3 * h : 4 * h])
+    o = s[..., 3 * h : 4 * h]
     c = f * c_prev + i * g
     tc = np.tanh(c)
     out = o * tc
@@ -131,7 +137,6 @@ def lstm_step_record(params, x: np.ndarray, state: LstmState):
     new_layers = []
     inp = x
     for p, (h_prev, c_prev) in zip(params, state.layers):
-        p.check()
         if h_prev.shape[-1] != p.hidden_size:
             raise ShapeMismatch("state width does not match hidden size")
         out, c, rec = _layer_forward(p, inp, h_prev, c_prev)

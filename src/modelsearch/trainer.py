@@ -378,6 +378,12 @@ def train_iteration(state: TrainerState, rng, on_event: Callable | None = None):
                 exc_info=True,
             )
             continue
+        if not np.isfinite(reward):
+            log.warning(
+                "evaluator %r returned reward %r on %r; skipping sample",
+                task_name, reward, config,
+            )
+            continue
         state.baselines.update(task_id, reward)
         baseline = state.baselines.value(task_id)
         _, a_norm = compute_advantage(reward, baseline, cfg.baseline_floor)

@@ -87,6 +87,29 @@ def test_garbage_file_raises_io_failure(tmp_path):
         load_checkpoint(path, TINY)
 
 
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    from modelsearch import checkpoint
+
+    state, _ = make_state()
+    path = tmp_path / "ck.bin"
+    save_checkpoint(state, path)
+    before = path.read_bytes()
+    manifest_before = (tmp_path / "ck.bin.manifest.txt").read_bytes()
+
+    def failing_write_array(f, name, arr):
+        f.write(b"partial")  # the header is already written
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint, "_write_array", failing_write_array)
+    with pytest.raises(IoFailure):
+        save_checkpoint(state, path)
+    assert path.read_bytes() == before
+    assert (tmp_path / "ck.bin.manifest.txt").read_bytes() == manifest_before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin", "ck.bin.manifest.txt"]
+    loaded = load_checkpoint(path, TINY)
+    assert np.array_equal(loaded.actor.flat, state.actor.flat)
+
+
 def test_fingerprint_ignores_choice_values_but_not_counts():
     relabeled = SearchSpace([ParamSpec("a", (7, 9)), ParamSpec("b", (1, 2, 3))])
     assert space_fingerprint(TINY) == space_fingerprint(relabeled)

@@ -10,6 +10,7 @@ from modelsearch.controller import (
     sample_batch,
     sample_sequence,
     sequence_log_probs,
+    teacher_forced,
 )
 from modelsearch.errors import UnknownTask
 from modelsearch.space import ParamSpec, SearchSpace, default_search_space
@@ -64,6 +65,25 @@ def test_unknown_task_rejected():
         sample_sequence(params, 5, np.random.default_rng(0))
     with pytest.raises(UnknownTask):
         sequence_log_probs(params, -1, (0, 0))
+
+
+def test_batch_with_one_unknown_task_rejected():
+    params = init_controller(TINY, 2, 0, SMALL_DIMS)
+    with pytest.raises(UnknownTask) as info:
+        sample_batch(params, [0, 1, 2, 1], np.random.default_rng(0))
+    assert info.value.task_id == 2
+    with pytest.raises(UnknownTask):
+        teacher_forced(params, [1, -1], [(0, 0), (1, 2)])
+
+
+def test_snapshots_share_one_layout():
+    params = init_controller(TINY, 2, 0, SMALL_DIMS)
+    assert params.with_flat(params.flat * 0.5).layout is params.layout
+    assert params.copy().layout is params.layout
+    assert init_controller(TINY, 2, 1, SMALL_DIMS).layout is params.layout
+    grown, _ = add_task(params, np.random.default_rng(0))
+    assert grown.layout is not params.layout
+    assert grown.layout.total_size == params.layout.total_size + SMALL_DIMS.task_embed
 
 
 def test_step0_frequencies_match_softmax():

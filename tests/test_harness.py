@@ -1,3 +1,4 @@
+import csv
 import json
 import textwrap
 
@@ -209,3 +210,52 @@ def test_cli_missing_run_dir_is_runtime_error(tmp_path):
         ["report", str(tmp_path / "nope1"), str(tmp_path / "nope2"), "--threshold", "0.5"]
     )
     assert rc == 2
+
+
+def test_cli_search_and_report_round_trip_task_names_with_csv_syntax(tmp_path):
+    odd = 'sent,"iment'
+    text = SMALL_EXPERIMENT.replace("name: t0", "name: 'sent,\"iment'")
+    cfg_path = write_config(tmp_path, text)
+    runs = [tmp_path / "c1", tmp_path / "c2"]
+    for run in runs:
+        rc = cli_main(["search", "--config", str(cfg_path), "--seed", "0", "--out", str(run)])
+        assert rc == 0
+    events = read_event_log(runs[0] / "seed_0" / "events.csv")
+    assert set(events) == {odd, "t1"}
+    for rel in json.loads((runs[0] / "manifest.json").read_text())["artifacts"]:
+        if rel.endswith(".csv"):
+            with open(runs[0] / rel, newline="") as f:
+                rows = list(csv.reader(f))
+            assert all(len(r) == len(rows[0]) for r in rows), rel
+    report_out = tmp_path / "cmp.csv"
+    rc = cli_main(
+        ["report", *map(str, runs), "--threshold", "0.1", "--out", str(report_out)]
+    )
+    assert rc == 0
+    with open(report_out, newline="") as f:
+        tasks = [row["task"] for row in csv.DictReader(f)]
+    assert sorted(tasks) == sorted([odd, "t1"] * 2)
+
+
+def test_cli_search_skips_non_finite_rewards(tmp_path, monkeypatch):
+    from modelsearch import harness
+    from modelsearch.evaluators import EvaluatorBinding
+
+    calls = {"n": 0}
+
+    def half_nan(config, seed):
+        calls["n"] += 1
+        return float("nan") if calls["n"] % 2 == 0 else 0.5
+
+    def stub_evaluators(config):
+        return [(t.name, EvaluatorBinding(t.name, config.space, half_nan)) for t in config.tasks]
+
+    monkeypatch.setattr(harness, "build_evaluators", stub_evaluators)
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "nan"
+    rc = cli_main(["search", "--config", str(cfg_path), "--seed", "0", "--out", str(out)])
+    assert rc == 0
+    with open(out / "seed_0" / "events.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 20  # 40 iterations, every other reward NaN
+    assert all(float(r["reward"]) == 0.5 for r in rows)

@@ -7,10 +7,12 @@ from modelsearch.errors import ShapeMismatch
 from modelsearch.kernel import (
     LstmLayerParams,
     LstmState,
+    _layer_forward,
     log_softmax,
     lstm_sequence_backward,
     lstm_step,
     lstm_step_record,
+    sigmoid,
     softmax,
 )
 
@@ -60,6 +62,80 @@ def test_shape_mismatch_raises():
         lstm_step(layers, np.ones(5), state)
     with pytest.raises(ShapeMismatch):
         lstm_step(layers, np.ones(3), LstmState.zeros(2, 4))
+
+
+def test_misshaped_layer_rejected_at_construction():
+    with pytest.raises(ShapeMismatch):
+        LstmLayerParams(np.zeros((3, 16)), np.zeros((4, 12)), np.zeros(16))
+    with pytest.raises(ShapeMismatch):
+        LstmLayerParams(np.zeros((3, 16)), np.zeros((4, 16)), np.zeros(12))
+
+
+# --- bit-exactness against the mask-split, per-gate reference forms ----------
+
+
+def _sigmoid_mask_split(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _layer_forward_per_gate(p, x, h_prev, c_prev):
+    h = p.hidden_size
+    z = x @ p.w_x + h_prev @ p.w_h + p.b
+    i = _sigmoid_mask_split(z[..., 0 * h : 1 * h])
+    f = _sigmoid_mask_split(z[..., 1 * h : 2 * h])
+    g = np.tanh(z[..., 2 * h : 3 * h])
+    o = _sigmoid_mask_split(z[..., 3 * h : 4 * h])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (i, f, g, o, c, tc)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64)
+    )
+
+
+SPECIAL_VALUES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308]
+)
+
+
+@pytest.mark.parametrize("shape", [(50,), (1, 200), (20, 200)])
+def test_sigmoid_matches_mask_split_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1.0, 10.0, 300.0):
+        x = rng.normal(0, scale, shape)
+        assert _same_bits(sigmoid(x), _sigmoid_mask_split(x))
+        cols = x[..., 10:30]  # non-contiguous for 2-D shapes
+        assert _same_bits(sigmoid(cols), _sigmoid_mask_split(cols))
+        strided = x[..., ::3]
+        assert _same_bits(sigmoid(strided), _sigmoid_mask_split(strided))
+
+
+def test_sigmoid_matches_mask_split_on_special_values():
+    assert _same_bits(sigmoid(SPECIAL_VALUES), _sigmoid_mask_split(SPECIAL_VALUES))
+    grid = np.tile(SPECIAL_VALUES, (3, 1))[:, ::2]
+    assert _same_bits(sigmoid(grid), _sigmoid_mask_split(grid))
+
+
+@pytest.mark.parametrize("batch", [None, 1, 20])
+def test_fused_layer_forward_matches_per_gate_bitwise(batch):
+    rng = np.random.default_rng(11)
+    (layer,) = make_layers(6, 5, 1, rng, scale=2.0)
+    shape = (lambda d: (d,)) if batch is None else (lambda d: (batch, d))
+    x = rng.normal(0, 1, shape(6))
+    h_prev, c_prev = rng.normal(0, 1, shape(5)), rng.normal(0, 1, shape(5))
+    out, c, rec = _layer_forward(layer, x, h_prev, c_prev)
+    ref_out, ref_c, (i, f, g, o, _, tc) = _layer_forward_per_gate(layer, x, h_prev, c_prev)
+    assert _same_bits(out, ref_out) and _same_bits(c, ref_c)
+    for got, want in ((rec.i, i), (rec.f, f), (rec.g, g), (rec.o, o), (rec.tc, tc)):
+        assert _same_bits(got, want)
 
 
 def _sequence_loss(layers, inputs, probe):

@@ -318,6 +318,28 @@ def test_evaluator_failures_are_skipped_not_fatal():
     assert len(res.events) == 20  # every third evaluation failed
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_rewards_are_skipped_like_failures(bad, caplog):
+    calls = {"n": 0}
+
+    def half_bad(config, seed):
+        calls["n"] += 1
+        return bad if calls["n"] % 2 == 0 else 0.5
+
+    from modelsearch.evaluators import EvaluatorBinding
+
+    binding = EvaluatorBinding("half_bad", TINY, half_bad)
+    cfg = TrainerConfig(total_iterations=30)
+    state = build_state(TINY, [("half_bad", binding)], cfg, 0, SMALL_DIMS)
+    with caplog.at_level("WARNING", logger="modelsearch.trainer"):
+        res = run_state(state, np.random.default_rng(0))
+    assert state.iteration == 30
+    assert [e.reward for e in res.events] == [0.5] * 15
+    # the same log prefix as an evaluator that raises
+    skips = [r for r in caplog.records if r.getMessage().startswith("evaluator ")]
+    assert len(skips) == 15
+
+
 def test_single_task_tiny_space_convergence_smoke():
     """Mean sampled reward improves between first and last deciles."""
     space = SearchSpace(
