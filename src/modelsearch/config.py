@@ -160,11 +160,16 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
         if not isinstance(t, dict):
             raise ConfigError(f"{where} must be a mapping")
         _check_keys(t, {"name", "evaluator"}, where)
-        tname = _require(t, "name", where)
+        tname = str(_require(t, "name", where))
+        # the name becomes part of an artifact's file name (curve_<task>.csv)
+        if any(c in tname for c in "/\\\0"):
+            raise ConfigError(
+                f"{where}.name {tname!r} must not contain '/', '\\' or NUL"
+            )
         ev = _require(t, "evaluator", where)
         if not isinstance(ev, dict) or "kind" not in ev:
             raise ConfigError(f"{where}.evaluator.kind is required")
-        tasks.append(TaskSpec(name=str(tname), evaluator=ev))
+        tasks.append(TaskSpec(name=tname, evaluator=ev))
     if len({t.name for t in tasks}) != len(tasks):
         raise ConfigError("tasks: duplicate task names")
 

@@ -33,6 +33,8 @@ INIT_RANGE = 0.08  # all weights start uniform in [-INIT_RANGE, INIT_RANGE]
 
 # exact marginals by enumeration are only attempted below this cardinality
 EXACT_ENUMERATION_LIMIT = 100_000
+# ... and score at most this many sequences per forward pass, bounding memory
+EXACT_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -382,21 +384,24 @@ def exact_action_distributions(params: ControllerParams, task_id) -> list[np.nda
     """Exact per-parameter marginals by enumerating every sequence.
 
     Only valid on spaces whose cardinality is at most
-    EXACT_ENUMERATION_LIMIT.
+    EXACT_ENUMERATION_LIMIT. Sequences are scored EXACT_CHUNK at a time.
     """
     space = params.space
     M = space.cardinality()
     if M > EXACT_ENUMERATION_LIMIT:
         raise ValueError(f"cardinality {M} too large for exact enumeration")
     all_actions = np.array(list(space.enumerate_actions()), dtype=np.int64)
-    task_ids = np.full(M, int(task_id), dtype=np.int64)
-    fwd = _forward(params, task_ids, actions=all_actions)
-    weights = np.exp(fwd.log_probs.sum(axis=1))
-    out = []
-    for i, count in enumerate(space.choice_counts):
-        marg = np.bincount(all_actions[:, i], weights=weights, minlength=count)
-        out.append(marg / weights.sum())
-    return out
+    margs = [np.zeros(count) for count in space.choice_counts]
+    total = 0.0
+    for lo in range(0, M, EXACT_CHUNK):
+        actions = all_actions[lo : lo + EXACT_CHUNK]
+        task_ids = np.full(actions.shape[0], int(task_id), dtype=np.int64)
+        fwd = _forward(params, task_ids, actions=actions)
+        weights = np.exp(fwd.log_probs.sum(axis=1))
+        total += weights.sum()
+        for i, count in enumerate(space.choice_counts):
+            margs[i] += np.bincount(actions[:, i], weights=weights, minlength=count)
+    return [marg / total for marg in margs]
 
 
 @dataclass

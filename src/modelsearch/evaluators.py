@@ -6,6 +6,9 @@ tests; and a real toy child-network trainer that builds a small ReLU
 feed-forward classifier from a sampled configuration and reports its
 validation accuracy. Every evaluator is pure: the same (config, seed)
 always yields the same reward.
+
+Child training keeps all trained arrays as views into one flat vector and
+makes one Adagrad call per step.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
 )
 from .kernel import log_softmax, softmax
 from .optim import adagrad_l2_update
+from .parameters import FlatParams, ParamLayout
 from .space import ModelConfig, SearchSpace
 
 
@@ -44,7 +48,6 @@ class EvaluatorBinding:
     name: str
     space: SearchSpace
     fn: Callable
-    brute_forceable: bool = False
     table: "OracleTable | None" = None
 
     def __call__(self, config: ModelConfig, seed: int) -> float:
@@ -125,7 +128,6 @@ def binding_from_table(name: str, table: OracleTable) -> EvaluatorBinding:
         name=name,
         space=table.space,
         fn=lambda config, seed: tabular_evaluate(table, config, seed),
-        brute_forceable=True,
         table=table,
     )
 
@@ -135,7 +137,7 @@ def brute_force_optimum(binding: EvaluatorBinding) -> tuple[ModelConfig, float]:
 
     Ties break toward the lexicographically first action sequence.
     """
-    if not binding.brute_forceable or binding.table is None:
+    if binding.table is None:
         raise NotBruteForceable(f"evaluator {binding.name!r} has no oracle table")
     table = binding.table
     rewards = table.accuracies**3 * table.reward_scale
@@ -285,8 +287,8 @@ def child_forward_logits(params: list, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def child_loss_and_grads(params: list, x: np.ndarray, y: np.ndarray, input_grad: bool = False):
-    """Mean cross-entropy, exact parameter gradients, optional input grad."""
+def child_grads(params: list, x: np.ndarray, y: np.ndarray, input_grad: bool = False):
+    """Logits, exact mean-cross-entropy parameter gradients, optional input grad."""
     n_pairs = len(params) // 2
     acts = [x]
     h = x
@@ -295,9 +297,7 @@ def child_loss_and_grads(params: list, x: np.ndarray, y: np.ndarray, input_grad:
         h = np.maximum(z, 0.0) if i + 1 < n_pairs else z
         acts.append(h)
     logits = acts[-1]
-    logp = log_softmax(logits)
     B = x.shape[0]
-    loss = -float(logp[np.arange(B), y].mean())
 
     d = softmax(logits)
     d[np.arange(B), y] -= 1.0
@@ -309,6 +309,14 @@ def child_loss_and_grads(params: list, x: np.ndarray, y: np.ndarray, input_grad:
         if i > 0:
             d = (d @ params[2 * i].T) * (acts[i] > 0.0)
     d_input = d @ params[0].T if input_grad else None
+    return logits, grads, d_input
+
+
+def child_loss_and_grads(params: list, x: np.ndarray, y: np.ndarray, input_grad: bool = False):
+    """Mean cross-entropy, exact parameter gradients, optional input grad."""
+    logits, grads, d_input = child_grads(params, x, y, input_grad)
+    logp = log_softmax(logits)
+    loss = -float(logp[np.arange(x.shape[0]), y].mean())
     return loss, grads, d_input
 
 
@@ -337,11 +345,24 @@ def train_child_network(config: ModelConfig, task: ToyTask, seed: int) -> float:
         raise InvalidConfig("invalid child-network hyperparameters")
 
     rng = np.random.default_rng(seed)
-    extractor = task.extractors[label].copy()
+    extractor = task.extractors[label]
     mlp = child_init(extractor.shape[1], n_layers, n_nodes, task.n_classes, rng)
 
+    # every trained array is a view into one flat vector, so one Adagrad
+    # call per step updates them all; a frozen extractor is only read
     trained = ([extractor] if trainable else []) + mlp
-    acc_state = [np.zeros_like(p) for p in trained]
+    names = (["extractor"] if trainable else []) + [
+        f"{kind}{i}" for i in range(n_layers + 1) for kind in ("w", "b")
+    ]
+    layout = ParamLayout([(n, a.shape) for n, a in zip(names, trained)])
+    params = FlatParams(layout, np.concatenate([a.ravel() for a in trained]))
+    grad = FlatParams.zeros(layout)
+    views = [params.get(n) for n in names]
+    grad_views = [grad.get(n) for n in names]
+    if trainable:
+        extractor = views[0]
+    mlp = views[-len(mlp):]
+    acc_state = np.zeros(layout.total_size)
 
     n_train = task.train_x.shape[0]
     batch = 100
@@ -349,13 +370,12 @@ def train_child_network(config: ModelConfig, task: ToyTask, seed: int) -> float:
         idx = rng.integers(0, n_train, size=batch)
         raw = task.train_x[idx]
         yb = task.train_y[idx]
-        _, mlp_grads, d_feat = child_loss_and_grads(
-            mlp, raw @ extractor, yb, input_grad=trainable
-        )
+        _, mlp_grads, d_feat = child_grads(mlp, raw @ extractor, yb, input_grad=trainable)
         grads = ([raw.T @ d_feat] if trainable else []) + mlp_grads
-        for j, (p, g) in enumerate(zip(trained, grads)):
-            p_new, acc_state[j] = adagrad_l2_update(p, g, acc_state[j], lr, l2)
-            p[...] = p_new
+        for view, g in zip(grad_views, grads):
+            view[...] = g
+        new, acc_state = adagrad_l2_update(params.flat, grad.flat, acc_state, lr, l2)
+        params.flat[...] = new
 
     val_logits = child_forward_logits(mlp, task.val_x @ extractor)
     pred = np.argmax(val_logits, axis=1)
@@ -369,5 +389,4 @@ def binding_from_child_task(name: str, task: ToyTask, space: SearchSpace) -> Eva
         fn=lambda config, seed: reward_from_accuracy(
             train_child_network(config, task, seed)
         ),
-        brute_forceable=False,
     )

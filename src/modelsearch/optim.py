@@ -59,16 +59,13 @@ def adagrad_l2_update(
     learning_rate: float,
     l2_weight: float,
     eps: float = 1e-10,
-    proximal: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adagrad step with L2 regularization.
 
-    Default form folds the L2 term into the gradient (g_reg = g + l2 * p),
-    the usual weight-decay formulation; the regularized gradient is both
-    accumulated and applied. With ``proximal=True`` the raw gradient is
-    accumulated and the L2 term enters through the closed-form proximal
-    map of the ridge penalty instead: p' = (p - eta * g) / (1 + eta * l2)
-    with eta the per-coordinate adaptive step. Both coincide at l2 = 0.
+    The L2 term is folded into the gradient (g_reg = g + l2 * p), the usual
+    weight-decay formulation; the regularized gradient is both accumulated
+    and applied. Every operation is elementwise, so one call on a flat
+    vector equals one call per array on its slices, bit for bit.
     """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -78,14 +75,9 @@ def adagrad_l2_update(
         )
     if l2_weight < 0:
         raise ValueError("l2_weight must be non-negative")
-    if proximal:
-        acc = accumulator + grads**2
-        eta = learning_rate / np.sqrt(acc + eps)
-        new_params = (params - eta * grads) / (1.0 + eta * l2_weight)
-    else:
-        g = grads + l2_weight * params
-        acc = accumulator + g**2
-        new_params = params - learning_rate * g / np.sqrt(acc + eps)
+    g = grads + l2_weight * params
+    acc = accumulator + g**2
+    new_params = params - learning_rate * g / np.sqrt(acc + eps)
     return new_params, acc
 
 

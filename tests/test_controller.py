@@ -118,6 +118,29 @@ def test_action_distribution_marginals_against_enumeration():
         assert np.max(np.abs(e - m)) < 0.02
 
 
+def test_chunked_exact_marginals_match_one_forward_pass(monkeypatch):
+    from modelsearch import controller
+
+    space = SearchSpace(
+        [ParamSpec("a", (0, 1, 2)), ParamSpec("b", tuple("wxyz")), ParamSpec("c", tuple(range(5)))]
+    )
+    params = init_controller(space, 2, 5, SMALL_DIMS)
+    actions = np.array(list(space.enumerate_actions()), dtype=np.int64)
+    fwd = teacher_forced(params, np.ones(len(actions), dtype=np.int64), actions)
+    weights = np.exp(fwd.log_probs.sum(axis=1))
+    direct = [
+        np.bincount(actions[:, i], weights=weights, minlength=count) / weights.sum()
+        for i, count in enumerate(space.choice_counts)
+    ]
+    monkeypatch.setattr(controller, "EXACT_CHUNK", 7)  # 60 sequences: 8 full chunks + 4
+    chunked = exact_action_distributions(params, 1)
+    assert len(chunked) == space.n_params
+    for c, d in zip(chunked, direct):
+        assert c.shape == d.shape
+        assert np.max(np.abs(c - d)) < 1e-12
+        assert abs(c.sum() - 1.0) < 1e-12
+
+
 def test_uniform_controller_marginals_are_uniform():
     params = init_controller(TINY, 1, 0, SMALL_DIMS)
     for i in range(TINY.n_params):

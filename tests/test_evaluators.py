@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modelsearch import evaluators
 from modelsearch.errors import (
     InvalidConfig,
     NotBruteForceable,
@@ -13,6 +14,7 @@ from modelsearch.evaluators import (
     binding_from_table,
     brute_force_optimum,
     child_forward_logits,
+    child_grads,
     child_init,
     child_loss_and_grads,
     child_parameter_count,
@@ -260,3 +262,106 @@ def test_child_forward_logits_shapes():
     params = child_init(4, 2, 6, 3, rng)
     out = child_forward_logits(params, rng.normal(0, 1, (5, 4)))
     assert out.shape == (5, 3)
+
+
+# --- flat-vector training against the per-array loop ------------------------
+
+
+def _per_array_training(config, task, seed):
+    """Reference: one Adagrad call per array per step, the loss computed."""
+    rng = np.random.default_rng(seed)
+    extractor = task.extractors[config.embedding_choice].copy()
+    mlp = child_init(extractor.shape[1], config.n_layers, config.n_nodes, task.n_classes, rng)
+    trainable = config.embedding_trainable
+    trained = ([extractor] if trainable else []) + mlp
+    acc_state = [np.zeros_like(p) for p in trained]
+    for _ in range(config.train_iterations):
+        idx = rng.integers(0, task.train_x.shape[0], size=100)
+        raw = task.train_x[idx]
+        _, mlp_grads, d_feat = child_loss_and_grads(
+            mlp, raw @ extractor, task.train_y[idx], input_grad=trainable
+        )
+        grads = ([raw.T @ d_feat] if trainable else []) + mlp_grads
+        for j, (p, g) in enumerate(zip(trained, grads)):
+            p_new, acc_state[j] = evaluators.adagrad_l2_update(
+                p, g, acc_state[j], config.learning_rate, config.l2_weight
+            )
+            p[...] = p_new
+    return mlp, task.val_x @ extractor
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("dataset", [toy_separable, toy_overlap])
+@pytest.mark.parametrize("l2_index", [0, 1])
+@pytest.mark.parametrize("n_layers_index", [0, 1])
+@pytest.mark.parametrize("trainable_index", [0, 1])
+def test_flat_training_matches_per_array_loop_bitwise(
+    monkeypatch, dataset, l2_index, n_layers_index, trainable_index
+):
+    from modelsearch.space import ModelConfig
+
+    space = child_search_space()
+    items = space.decode([0, trainable_index, n_layers_index, 1, 1, 0, l2_index]).as_dict()
+    items["train_iterations"] = 30
+    cfg = ModelConfig(list(items.items()))
+    task = dataset(7)
+
+    captured = []
+    real_forward = evaluators.child_forward_logits
+    real_update = evaluators.adagrad_l2_update
+
+    def capture(params, x):
+        captured.append(([p.copy() for p in params], x.copy()))
+        return real_forward(params, x)
+
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(1)
+        return real_update(*args, **kwargs)
+
+    monkeypatch.setattr(evaluators, "child_forward_logits", capture)
+    monkeypatch.setattr(evaluators, "adagrad_l2_update", count)
+    acc = train_child_network(cfg, task, 5)
+    assert len(calls) == cfg.train_iterations
+    monkeypatch.undo()
+
+    ref_mlp, ref_features = _per_array_training(cfg, task, 5)
+    (mlp, features), = captured
+    assert len(mlp) == len(ref_mlp) == 2 * (cfg.n_layers + 1)
+    for got, want in zip(mlp, ref_mlp):
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(features), _bits(ref_features))
+    pred = np.argmax(child_forward_logits(ref_mlp, ref_features), axis=1)
+    assert acc == float(np.mean(pred == task.val_y))
+
+
+def test_frozen_extractor_is_left_untouched():
+    space = child_search_space()
+    task = toy_separable(7)
+    before = {k: v.copy() for k, v in task.extractors.items()}
+    for trainable_index in (0, 1):
+        train_child_network(space.decode([0, trainable_index, 0, 0, 0, 0, 1]), task, 3)
+    for k, v in task.extractors.items():
+        assert np.array_equal(v, before[k])
+
+
+def test_loss_and_grads_returns_child_grads_unchanged():
+    rng = np.random.default_rng(4)
+    params = child_init(6, 2, 5, 3, rng)
+    x = rng.normal(0, 1, (8, 6))
+    y = rng.integers(0, 3, 8)
+    logits, grads, d_input = child_grads(params, x, y, input_grad=True)
+    loss, grads2, d_input2 = child_loss_and_grads(params, x, y, input_grad=True)
+    assert np.array_equal(logits, child_forward_logits(params, x))
+    assert len(grads) == len(grads2) == len(params)
+    for g, g2 in zip(grads, grads2):
+        assert np.array_equal(_bits(g), _bits(g2))
+    assert np.array_equal(_bits(d_input), _bits(d_input2))
+    logp = logits - logits.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    assert loss == pytest.approx(-logp[np.arange(8), y].mean(), rel=1e-12)

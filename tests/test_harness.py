@@ -199,6 +199,19 @@ def test_cli_unknown_evaluator_is_config_error(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "name", ["en/de", "'en\\de'", '"en\\0de"'], ids=["slash", "backslash", "nul"]
+)
+def test_cli_rejects_task_names_that_cannot_be_file_names(tmp_path, capsys, name):
+    cfg_path = write_config(tmp_path, SMALL_EXPERIMENT.replace("name: t0", f"name: {name}"))
+    out = tmp_path / "x"
+    rc = cli_main(["search", "--config", str(cfg_path), "--seed", "0", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tasks[0].name")
+    assert not list(tmp_path.rglob("seed_*"))
+
+
 def test_cli_transfer_without_checkpoint_is_config_error(tmp_path):
     cfg_path = write_config(tmp_path)
     rc = cli_main(["transfer", "--config", str(cfg_path), "--out", str(tmp_path / "x")])

@@ -71,19 +71,6 @@ def test_adagrad_l2_shrinks_toward_zero():
     assert 0.0 < p2[0] < 1.0
 
 
-def test_adagrad_proximal_variant():
-    # coincides with the gradient form when l2 = 0
-    p, g = np.array([0.7]), np.array([0.3])
-    a1, _ = adagrad_l2_update(p, g, np.zeros(1), 0.1, 0.0)
-    a2, _ = adagrad_l2_update(p, g, np.zeros(1), 0.1, 0.0, proximal=True)
-    assert np.allclose(a1, a2, atol=1e-15)
-    # with l2 > 0 it shrinks toward zero via the closed-form ridge prox
-    p2, acc2 = adagrad_l2_update(np.array([1.0]), np.array([1.0]), np.zeros(1), 0.1, 0.5, proximal=True)
-    eta = 0.1 / np.sqrt(1.0 + 1e-10)
-    assert p2[0] == pytest.approx((1.0 - eta) / (1.0 + eta * 0.5))
-    assert np.allclose(acc2, [1.0])  # raw gradient accumulated
-
-
 def test_adagrad_stays_finite():
     rng = np.random.default_rng(1)
     p = rng.normal(0, 1, 8)
