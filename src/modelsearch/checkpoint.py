@@ -16,6 +16,7 @@ old tasks registered but excluded from task sampling.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -143,7 +144,7 @@ def save_checkpoint(state, path, meta_extra: dict | None = None):
         "n_tasks": actor.n_tasks,
         "registry": _registry_to_meta(state.registry),
         "baselines": state.baselines.as_dict(),
-        "trainer_config": state.config.as_dict(),
+        "trainer_config": dataclasses.asdict(state.config),
         "rng_note": base_meta.get(
             "rng_note",
             {
@@ -230,7 +231,7 @@ def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
 
     actor = rebuild("actor/")
     critic = rebuild("critic/")
-    cfg = TrainerConfig.from_dict(meta["trainer_config"])
+    cfg = TrainerConfig(**meta["trainer_config"])
     return CheckpointState(
         version=version,
         fingerprint=fingerprint,
@@ -259,11 +260,7 @@ def transfer_init(
     but inactive, so task sampling only visits the new tasks. Optimizer
     moments are reset (fresh task distribution).
     """
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = np.random.default_rng(seed_or_rng)
     space = space if space is not None else checkpoint.actor.space
     if space_fingerprint(space) != checkpoint.fingerprint:
         raise FingerprintMismatch("transfer target space differs from checkpoint")
@@ -314,13 +311,13 @@ def task_embedding_correlations(params: ControllerParams, task_ids) -> np.ndarra
     Symmetric with unit diagonal; raises DegenerateEmbedding when a row
     has zero variance.
     """
-    task_ids = [params.check_task(t) for t in task_ids]
+    task_ids = params.check_tasks(task_ids)
     if len(task_ids) < 2:
         raise ValueError("need at least two tasks to correlate")
-    rows = params.task_embeddings()[np.asarray(task_ids, dtype=np.int64)]
+    rows = params.task_embeddings()[task_ids]
     stds = rows.std(axis=1)
     if np.any(stds == 0.0):
-        bad = task_ids[int(np.argmin(stds))]
+        bad = int(task_ids[np.argmin(stds)])
         raise DegenerateEmbedding(f"task {bad} embedding has zero variance")
     corr = np.corrcoef(rows)
     np.fill_diagonal(corr, 1.0)

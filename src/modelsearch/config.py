@@ -49,7 +49,6 @@ class ExperimentConfig:
     dims: ControllerDims = ControllerDims()
     mode: str | None = None
     transfer_checkpoint: Path | None = None
-    report_threshold: float | None = None
     heatmap_samples: int = 10_000
     base_dir: Path = field(default_factory=Path)
 
@@ -111,7 +110,6 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
             "trainer",
             "tasks",
             "transfer",
-            "report",
             "heatmap_samples",
         },
         "",
@@ -166,6 +164,15 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
             raise ConfigError(
                 f"{where}.name {tname!r} must not contain '/', '\\' or NUL"
             )
+        # every artifact is UTF-8, so a lone surrogate cannot be written either
+        try:
+            file_name = f"curve_{tname}.csv".encode()
+        except UnicodeError as e:
+            raise ConfigError(f"{where}.name {tname!r} is not valid UTF-8 text") from e
+        if len(file_name) > 255:
+            raise ConfigError(
+                f"{where}.name is too long: curve_<name>.csv must fit in 255 bytes"
+            )
         ev = _require(t, "evaluator", where)
         if not isinstance(ev, dict) or "kind" not in ev:
             raise ConfigError(f"{where}.evaluator.kind is required")
@@ -181,12 +188,6 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
     if mode == "transfer" and transfer_checkpoint is None:
         raise ConfigError("transfer.checkpoint is required in transfer mode")
 
-    report_raw = raw.get("report", {})
-    _check_keys(report_raw, {"threshold"}, "report")
-    report_threshold = (
-        float(report_raw["threshold"]) if "threshold" in report_raw else None
-    )
-
     heatmap_samples = int(raw.get("heatmap_samples", 10_000))
     if heatmap_samples < 1:
         raise ConfigError("heatmap_samples must be >= 1")
@@ -201,7 +202,6 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
         dims=dims,
         mode=mode,
         transfer_checkpoint=transfer_checkpoint,
-        report_threshold=report_threshold,
         heatmap_samples=heatmap_samples,
         base_dir=base_dir,
     )

@@ -123,11 +123,13 @@ class ControllerParams(FlatParams):
     def copy(self) -> "ControllerParams":
         return self.with_flat(self.flat.copy())
 
-    def check_task(self, task_id) -> int:
-        task_id = int(task_id)
-        if not 0 <= task_id < self.n_tasks:
-            raise UnknownTask(task_id)
-        return task_id
+    def check_tasks(self, task_ids) -> np.ndarray:
+        """Task ids as an int64 array; UnknownTask names the first bad one."""
+        task_ids = np.atleast_1d(np.asarray(task_ids, dtype=np.int64))
+        bad = (task_ids < 0) | (task_ids >= self.n_tasks)
+        if np.any(bad):
+            raise UnknownTask(int(task_ids[bad][0]))
+        return task_ids
 
 
 def init_controller(
@@ -139,11 +141,7 @@ def init_controller(
     """Fresh controller with every weight drawn uniform in +-INIT_RANGE."""
     if n_tasks < 1:
         raise ValueError("need at least one task")
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = np.random.default_rng(seed_or_rng)
     layout = _build_layout(space, dims, n_tasks)
     flat = rng.uniform(-INIT_RANGE, INIT_RANGE, size=layout.total_size)
     return ControllerParams(space, dims, n_tasks, flat)
@@ -211,11 +209,8 @@ def _forward(
     space = params.space
     dims = params.dims
     T = space.n_params
-    task_ids = np.atleast_1d(np.asarray(task_ids, dtype=np.int64))
+    task_ids = params.check_tasks(task_ids)
     B = task_ids.shape[0]
-    bad = (task_ids < 0) | (task_ids >= params.n_tasks)
-    if np.any(bad):
-        raise UnknownTask(int(task_ids[bad][0]))
 
     sampling = actions is None
     if not sampling:
@@ -235,7 +230,7 @@ def _forward(
         out_actions = np.empty((B, T), dtype=np.int64)
 
     layers = params.lstm_layers()
-    state = LstmState.zeros(dims.num_layers, dims.hidden_size, batch=B)
+    state = LstmState.zeros(dims.num_layers, dims.hidden_size, B)
     task_e = params.task_embeddings()[task_ids]
     x_act = np.broadcast_to(params.start_embedding(), (B, dims.action_embed))
 
@@ -335,14 +330,14 @@ def policy_backward(
         grads.get(f"proj_b.{t}")[...] += dlogits.sum(axis=0)
         d_outputs.append(dlogits @ w.T)
 
-    # through time and the layer stack
-    layer_grads, d_inputs = lstm_sequence_backward(
-        params.lstm_layers(), fwd.records, d_outputs
+    # through time and the layer stack, straight into the flat gradient
+    layer_grads = [
+        (grads.get(f"lstm{l}.w_x"), grads.get(f"lstm{l}.w_h"), grads.get(f"lstm{l}.b"))
+        for l in range(dims.num_layers)
+    ]
+    d_inputs = lstm_sequence_backward(
+        params.lstm_layers(), fwd.records, d_outputs, layer_grads
     )
-    for l, lg in enumerate(layer_grads):
-        grads.get(f"lstm{l}.w_x")[...] += lg.w_x
-        grads.get(f"lstm{l}.w_h")[...] += lg.w_h
-        grads.get(f"lstm{l}.b")[...] += lg.b
 
     # split input gradients into the action half and the task half
     A = dims.action_embed
@@ -370,7 +365,6 @@ def action_distributions(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    params.check_task(task_id)
     task_ids = np.full(int(n_samples), int(task_id), dtype=np.int64)
     actions, _ = sample_batch(params, task_ids, rng)
     out = []
@@ -445,15 +439,5 @@ class TaskRegistry:
             raise UnknownTask(task_id)
         return self.entries[task_id]
 
-    def by_name(self, name: str) -> TaskEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise UnknownTask(name)
-
     def active_ids(self) -> list[int]:
         return [e.task_id for e in self.entries if e.active]
-
-    def deactivate_all(self):
-        for e in self.entries:
-            e.active = False

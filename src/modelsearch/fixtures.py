@@ -74,12 +74,6 @@ class PlantedPair:
             for t in self.tasks
         }
 
-    def optimum_of(self, name: str) -> tuple[int, ...]:
-        for t in self.tasks:
-            if t.name == name:
-                return t.optimum
-        raise KeyError(name)
-
 
 # Optima agree on positions 1 and 4 and differ on the other five.
 _PAIR_A0 = (0, 0, 0, 1, 1, 0, 0)
@@ -115,14 +109,6 @@ def planted_pair_related() -> PlantedPair:
     )
 
 
-def related_task_map() -> dict[str, str]:
-    """Which pre-training task each transfer task is a near-copy of."""
-    return {
-        "sentiment-reviews": "sentiment",
-        "language-id-reviews": "language-id",
-    }
-
-
 def toy_separable(seed: int = 2024) -> ToyTask:
     return ToyTask.generate("separable", seed=seed, separation=3.0)
 
@@ -133,12 +119,3 @@ def toy_overlap(seed: int = 2025) -> ToyTask:
 
 def differing_positions(a, b) -> list[int]:
     return [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
-
-
-def assert_pair_differentiates():
-    """The bundled pair must differ in at least 3 of 7 parameters."""
-    pair = planted_pair_a()
-    diff = differing_positions(pair.tasks[0].optimum, pair.tasks[1].optimum)
-    if len(diff) < 3:
-        raise AssertionError("planted optima too similar to observe differentiation")
-    return diff

@@ -99,11 +99,11 @@ def _run_one_seed(config: ExperimentConfig, seed: int, seed_dir: Path, mode: str
     return result, [str(Path(seed_dir.name) / a) for a in artifacts]
 
 
-def _group_events(events):
-    """events -> {task_name: (iterations array, rewards array)} in order."""
+def _group_rewards(triples):
+    """(task, iteration, reward) triples -> {task: (iterations, rewards)} in order."""
     by_task: dict[str, list] = {}
-    for e in events:
-        by_task.setdefault(e.task_name, []).append((e.iteration, e.reward))
+    for task, iteration, reward in triples:
+        by_task.setdefault(task, []).append((iteration, reward))
     return {
         t: (
             np.array([i for i, _ in rows], dtype=np.int64),
@@ -118,20 +118,22 @@ def _write_aggregate(config: ExperimentConfig, out_dir: Path, results: list):
     agg.mkdir(parents=True, exist_ok=True)
     artifacts = []
 
-    task_names = [t.name for t in config.tasks]
-    for task in task_names:
+    grouped = [
+        (r.seed, _group_rewards((e.task_name, e.iteration, e.reward) for e in r.events))
+        for r in results
+    ]
+    for task in (t.name for t in config.tasks):
         path = agg / f"curve_{task}.csv"
         with open(path, "w", newline="") as f:
             w = _csv_writer(f)
             w.writerow(["seed", "iteration", "reward", "reward_smoothed"])
-            for result in results:
-                grouped = _group_events(result.events)
-                if task not in grouped:
+            for seed, by_task in grouped:
+                if task not in by_task:
                     continue
-                iters, rewards = grouped[task]
+                iters, rewards = by_task[task]
                 smoothed = smooth_with_auto_window(rewards)
                 for i, r, s in zip(iters, rewards, smoothed):
-                    w.writerow([result.seed, i, _fmt(r), _fmt(s)])
+                    w.writerow([seed, i, _fmt(r), _fmt(s)])
         artifacts.append(str(Path("aggregate") / path.name))
 
     # heatmap and correlations come from the first seed's final controller
@@ -204,7 +206,7 @@ def run_brute_force(config: ExperimentConfig) -> Path:
     tasks = build_evaluators(config)
     path = out_dir / "brute_force.csv"
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
+        w = _csv_writer(f)
         w.writerow(["task"] + [p.name for p in config.space.params] + ["reward"])
         for name, binding in tasks:
             best_config, reward = brute_force_optimum(binding)
@@ -229,19 +231,11 @@ class ReportRow:
 
 def read_event_log(path) -> dict:
     """Parse one event log into {task: (iterations, rewards)} in file order."""
-    by_task: dict[str, list] = {}
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            by_task.setdefault(row["task"], []).append(
-                (int(row["iteration"]), float(row["reward"]))
-            )
-    return {
-        t: (
-            np.array([i for i, _ in rows], dtype=np.int64),
-            np.array([r for _, r in rows]),
+        return _group_rewards(
+            (row["task"], int(row["iteration"]), float(row["reward"]))
+            for row in csv.DictReader(f)
         )
-        for t, rows in by_task.items()
-    }
 
 
 def _auc(iterations: np.ndarray, values: np.ndarray) -> float:
@@ -308,7 +302,7 @@ def run_experiment(
         if not report_dirs or len(report_dirs) < 2:
             raise ConfigError("report mode needs at least two run directories")
         if threshold is None:
-            raise ConfigError("report.threshold is required in report mode")
+            raise ConfigError("report mode needs a threshold")
         rows = report_compare(report_dirs, threshold)
         out = Path(out_dir) if out_dir is not None else Path("report.csv")
         if out.is_dir():

@@ -2,8 +2,10 @@
 
 Stacked LSTM forward steps with recorded activations, exact reverse-mode
 backprop through unrolled sequences, and a numerically stable softmax.
-All functions are pure: they never mutate their inputs and accept either a
-single vector (shape ``(d,)``) or a batch (shape ``(B, d)``).
+The LSTM kernel is batch-only: inputs and states are ``(B, d)`` arrays,
+and a single sequence is a batch of one row. The forward step never
+mutates its inputs; the backward pass adds into gradient arrays the
+caller owns.
 
 Gate layout inside the fused ``4H`` dimension is ``[input, forget,
 candidate, output]``. Each layer step applies the sigmoid once across the
@@ -80,8 +82,8 @@ class LstmState:
         self.layers = tuple(layers)  # tuple of (h, c)
 
     @classmethod
-    def zeros(cls, n_layers: int, hidden_size: int, batch: int | None = None):
-        shape = (hidden_size,) if batch is None else (batch, hidden_size)
+    def zeros(cls, n_layers: int, hidden_size: int, batch: int):
+        shape = (batch, hidden_size)
         return cls([(np.zeros(shape), np.zeros(shape)) for _ in range(n_layers)])
 
 
@@ -114,21 +116,18 @@ def _layer_forward(p: LstmLayerParams, x, h_prev, c_prev):
     return out, c, LstmStepRecord(x, h_prev, c_prev, i, f, g, o, c, tc)
 
 
-def lstm_step(params, x: np.ndarray, state: LstmState):
-    """One forward step through the layer stack; returns (top h, new state).
-
-    Layer l's hidden output feeds layer l+1's input. Use lstm_step_record
-    when the step must later be replayed for backprop.
-    """
-    out, new_state, _ = lstm_step_record(params, x, state)
-    return out, new_state
-
-
 def lstm_step_record(params, x: np.ndarray, state: LstmState):
+    """One forward step of a ``(B, d)`` batch through the layer stack.
+
+    Layer l's hidden output feeds layer l+1's input. Returns (top h, new
+    state, one LstmStepRecord per layer) for lstm_sequence_backward.
+    """
     params = list(params)
     if len(params) != len(state.layers):
         raise ShapeMismatch("state has a different number of layers than params")
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeMismatch(f"input must be a (B, d) batch, got shape {x.shape}")
     if x.shape[-1] != params[0].input_size:
         raise ShapeMismatch(
             f"input size {x.shape[-1]} != expected {params[0].input_size}"
@@ -146,20 +145,15 @@ def lstm_step_record(params, x: np.ndarray, state: LstmState):
     return inp, LstmState(new_layers), records
 
 
-@dataclass
-class LstmLayerGrads:
-    w_x: np.ndarray
-    w_h: np.ndarray
-    b: np.ndarray
-
-
-def lstm_sequence_backward(params, records, d_outputs):
+def lstm_sequence_backward(params, records, d_outputs, grads):
     """Reverse-mode accumulation through a recorded unrolled sequence.
 
     ``records[t][l]`` is layer l's LstmStepRecord at step t as produced by
     lstm_step_record; ``d_outputs[t]`` is the loss gradient at the top-layer
-    output of step t. Returns (per-layer LstmLayerGrads, d_inputs) where
-    d_inputs[t] is the gradient at the bottom-layer input of step t.
+    output of step t. ``grads[l]`` is a ``(w_x, w_h, b)`` tuple of arrays
+    shaped like layer l's weights; each step's gradient is added into them
+    in place. Returns d_inputs, where d_inputs[t] is the gradient at the
+    bottom-layer input of step t.
     """
     params = list(params)
     n_layers = len(params)
@@ -167,10 +161,6 @@ def lstm_sequence_backward(params, records, d_outputs):
     if len(d_outputs) != steps:
         raise ShapeMismatch("one output gradient required per recorded step")
 
-    grads = [
-        LstmLayerGrads(np.zeros_like(p.w_x), np.zeros_like(p.w_h), np.zeros_like(p.b))
-        for p in params
-    ]
     dh_carry = [None] * n_layers
     dc_carry = [None] * n_layers
     d_inputs = [None] * steps
@@ -197,15 +187,11 @@ def lstm_sequence_backward(params, records, d_outputs):
                 ],
                 axis=-1,
             )
-            if dz.ndim == 1:
-                grads[l].w_x += np.outer(rec.x, dz)
-                grads[l].w_h += np.outer(rec.h_prev, dz)
-                grads[l].b += dz
-            else:
-                grads[l].w_x += rec.x.T @ dz
-                grads[l].w_h += rec.h_prev.T @ dz
-                grads[l].b += dz.sum(axis=0)
+            g_wx, g_wh, g_b = grads[l]
+            g_wx += rec.x.T @ dz
+            g_wh += rec.h_prev.T @ dz
+            g_b += dz.sum(axis=0)
             dh_carry[l] = dz @ params[l].w_h.T
             d_above = dz @ params[l].w_x.T
         d_inputs[t] = d_above
-    return grads, d_inputs
+    return d_inputs

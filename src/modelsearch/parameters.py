@@ -30,16 +30,6 @@ class ParamLayout:
     def names(self):
         return [n for n, _ in self.entries]
 
-    def shape(self, name: str):
-        return self.offsets[name][2]
-
-    def slice_of(self, name: str) -> slice:
-        lo, hi, _ = self.offsets[name]
-        return slice(lo, hi)
-
-    def __eq__(self, other):
-        return isinstance(other, ParamLayout) and self.entries == other.entries
-
 
 class FlatParams:
     """A layout plus its flat float64 value vector."""
@@ -58,10 +48,6 @@ class FlatParams:
     @classmethod
     def zeros(cls, layout: ParamLayout) -> "FlatParams":
         return cls(layout, np.zeros(layout.total_size))
-
-    @classmethod
-    def uniform(cls, layout: ParamLayout, low: float, high: float, rng) -> "FlatParams":
-        return cls(layout, rng.uniform(low, high, size=layout.total_size))
 
     def get(self, name: str) -> np.ndarray:
         lo, hi, shape = self.layout.offsets[name]

@@ -75,14 +75,6 @@ class TrainerConfig:
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
 
-    def as_dict(self) -> dict:
-        d = self.__dict__.copy()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainerConfig":
-        return cls(**d)
-
 
 @dataclass
 class RewardRecord:
@@ -119,9 +111,6 @@ class ReplayBank:
         idx = rng.integers(0, len(self._items), size=batch_size)
         return [self._items[i] for i in idx]
 
-    def clear(self):
-        self._items.clear()
-
     def __len__(self) -> int:
         return len(self._items)
 
@@ -132,24 +121,21 @@ class ReplayBank:
 @dataclass
 class _BaselineEntry:
     value: float = 0.0
-    decay: float = 0.95
     initialized: bool = False
 
 
 class BaselineTable:
-    """Per-task exponential moving average of rewards."""
+    """Per-task exponential moving average of rewards, one decay for all."""
 
-    def __init__(self, default_decay: float = 0.95):
-        if not 0.0 < default_decay < 1.0:
+    def __init__(self, decay: float = 0.95):
+        if not 0.0 < decay < 1.0:
             raise ValueError("decay must lie in (0, 1)")
-        self.default_decay = default_decay
+        self.decay = decay
         self._entries: dict[int, _BaselineEntry] = {}
 
-    def ensure_task(self, task_id: int, decay: float | None = None):
+    def ensure_task(self, task_id: int):
         if task_id not in self._entries:
-            self._entries[task_id] = _BaselineEntry(
-                decay=self.default_decay if decay is None else decay
-            )
+            self._entries[task_id] = _BaselineEntry()
 
     def update(self, task_id: int, reward: float) -> "BaselineTable":
         """First reward initializes b(t); afterwards b <- d*b + (1-d)*R."""
@@ -161,7 +147,7 @@ class BaselineTable:
             e.value = float(reward)
             e.initialized = True
         else:
-            e.value = e.decay * e.value + (1.0 - e.decay) * float(reward)
+            e.value = self.decay * e.value + (1.0 - self.decay) * float(reward)
         return self
 
     def initialized(self, task_id: int) -> bool:
@@ -175,19 +161,19 @@ class BaselineTable:
         return e.value
 
     def as_dict(self) -> dict:
+        # "decay" is written per entry to keep the version-1 checkpoint format
         return {
-            str(tid): {"value": e.value, "decay": e.decay, "initialized": e.initialized}
+            str(tid): {"value": e.value, "decay": self.decay, "initialized": e.initialized}
             for tid, e in sorted(self._entries.items())
         }
 
     @classmethod
-    def from_dict(cls, d: dict, default_decay: float = 0.95) -> "BaselineTable":
-        t = cls(default_decay)
+    def from_dict(cls, d: dict, decay: float = 0.95) -> "BaselineTable":
+        """Entries as written by as_dict; a stored per-entry decay is ignored."""
+        t = cls(decay)
         for tid, e in d.items():
             t._entries[int(tid)] = _BaselineEntry(
-                value=float(e["value"]),
-                decay=float(e["decay"]),
-                initialized=bool(e["initialized"]),
+                value=float(e["value"]), initialized=bool(e["initialized"])
             )
         return t
 
@@ -296,11 +282,7 @@ def build_state(
     for name, evaluator in tasks:
         tid = registry.add(name, getattr(evaluator, "name", name))
         evaluators[tid] = evaluator
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = np.random.default_rng(seed_or_rng)
     actor = init_controller(space, len(registry), rng, dims)
     critic = actor.copy()
     baselines = BaselineTable(config.baseline_decay)
@@ -421,11 +403,7 @@ def run_state(
     state: TrainerState, seed_or_rng, on_event: Callable | None = None
 ) -> SearchResult:
     """Run the configured number of iterations on an existing state."""
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = np.random.default_rng(seed_or_rng)
     for _ in range(state.config.total_iterations):
         train_iteration(state, rng, on_event)
     return SearchResult(

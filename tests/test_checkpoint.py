@@ -15,6 +15,7 @@ from modelsearch.errors import (
     DegenerateEmbedding,
     FingerprintMismatch,
     IoFailure,
+    UnknownTask,
 )
 from modelsearch.evaluators import binding_from_table, planted_table
 from modelsearch.space import ParamSpec, SearchSpace
@@ -208,3 +209,12 @@ def test_correlations_reject_zero_variance():
     params.task_embeddings()[1] = 0.25  # constant vector has zero variance
     with pytest.raises(DegenerateEmbedding):
         task_embedding_correlations(params, [0, 1])
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+def test_correlations_reject_unknown_task_ids(bad):
+    # -1 must not wrap around to the last embedding row
+    params = init_controller(TINY, 3, 0, SMALL_DIMS)
+    with pytest.raises(UnknownTask) as info:
+        task_embedding_correlations(params, [0, bad, 1])
+    assert info.value.task_id == bad

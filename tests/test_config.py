@@ -73,6 +73,8 @@ def test_default_space_keyword(tmp_path):
         ("mode: fly", "mode"),
         ("heatmap_samples: 0", "heatmap_samples"),
         ("unknown_top: 3", "unknown_top"),
+        # report mode takes its threshold from the command line, never a config
+        ("report: {threshold: 0.5}", "unknown field report"),
     ],
 )
 def test_bad_top_level_fields(tmp_path, mutation, field):
@@ -80,6 +82,20 @@ def test_bad_top_level_fields(tmp_path, mutation, field):
     with pytest.raises(ConfigError) as exc:
         load_experiment_config(write(tmp_path, text))
     assert field in str(exc.value)
+
+
+@pytest.mark.parametrize("name, ok", [("t" * 245, True), ("t" * 246, False), ("é" * 123, False)])
+def test_task_name_must_fit_a_file_name_in_bytes(name, ok):
+    # curve_<name>.csv is at most 255 bytes; "é" takes two bytes in UTF-8
+    raw = {
+        "search_space": [{"name": "a", "choices": [0, 1]}],
+        "tasks": [{"name": name, "evaluator": {"kind": "planted", "optimum": [0]}}],
+    }
+    if ok:
+        assert parse_experiment_config(raw).tasks[0].name == name
+    else:
+        with pytest.raises(ConfigError, match=r"tasks\[0\]\.name is too long"):
+            parse_experiment_config(raw)
 
 
 def test_missing_tasks_named(tmp_path):

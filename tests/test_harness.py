@@ -200,7 +200,9 @@ def test_cli_unknown_evaluator_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["en/de", "'en\\de'", '"en\\0de"'], ids=["slash", "backslash", "nul"]
+    "name",
+    ["en/de", "'en\\de'", '"en\\0de"', "t" * 250, '"t\\udcff"'],
+    ids=["slash", "backslash", "nul", "too-long", "surrogate"],
 )
 def test_cli_rejects_task_names_that_cannot_be_file_names(tmp_path, capsys, name):
     cfg_path = write_config(tmp_path, SMALL_EXPERIMENT.replace("name: t0", f"name: {name}"))

@@ -10,7 +10,6 @@ from modelsearch.kernel import (
     _layer_forward,
     log_softmax,
     lstm_sequence_backward,
-    lstm_step,
     lstm_step_record,
     sigmoid,
     softmax,
@@ -33,10 +32,14 @@ def make_layers(input_size, hidden, n_layers, rng=None, scale=0.0):
     return layers
 
 
+def zero_grads(layers):
+    return [(np.zeros_like(p.w_x), np.zeros_like(p.w_h), np.zeros_like(p.b)) for p in layers]
+
+
 def test_zero_weights_zero_state_gives_zero_output():
     layers = make_layers(3, 4, 2)
-    state = LstmState.zeros(2, 4)
-    out, new_state = lstm_step(layers, np.ones(3), state)
+    state = LstmState.zeros(2, 4, 1)
+    out, new_state, _ = lstm_step_record(layers, np.ones((1, 3)), state)
     assert np.allclose(out, 0.0)
     for h, c in new_state.layers:
         assert np.allclose(h, 0.0)
@@ -46,22 +49,29 @@ def test_zero_weights_zero_state_gives_zero_output():
 def test_zero_weights_nonzero_cell():
     # gates sit at 1/2, candidate at 0: c' = c/2, h' = sigmoid(0)*tanh(c')
     layers = make_layers(2, 1, 1)
-    state = LstmState([(np.array([0.3]), np.array([2.0]))])
-    out, new_state = lstm_step(layers, np.zeros(2), state)
+    state = LstmState([(np.array([[0.3]]), np.array([[2.0]]))])
+    out, new_state, _ = lstm_step_record(layers, np.zeros((1, 2)), state)
     h, c = new_state.layers[0]
     assert np.allclose(c, 1.0)
     assert np.allclose(h, 0.5 * np.tanh(1.0))
     assert np.allclose(out, 0.5 * np.tanh(1.0), atol=1e-12)
-    assert abs(out[0] - 0.3808) < 1e-4
+    assert abs(out[0, 0] - 0.3808) < 1e-4
 
 
 def test_shape_mismatch_raises():
     layers = make_layers(3, 4, 1)
-    state = LstmState.zeros(1, 4)
+    state = LstmState.zeros(1, 4, 1)
     with pytest.raises(ShapeMismatch):
-        lstm_step(layers, np.ones(5), state)
+        lstm_step_record(layers, np.ones((1, 5)), state)
     with pytest.raises(ShapeMismatch):
-        lstm_step(layers, np.ones(3), LstmState.zeros(2, 4))
+        lstm_step_record(layers, np.ones((1, 3)), LstmState.zeros(2, 4, 1))
+
+
+def test_unbatched_input_rejected():
+    # a 1-D input would broadcast against (1, H) states and give wrong gradients
+    layers = make_layers(3, 4, 1)
+    with pytest.raises(ShapeMismatch, match=r"\(B, d\) batch"):
+        lstm_step_record(layers, np.ones(3), LstmState.zeros(1, 4, 1))
 
 
 def test_misshaped_layer_rejected_at_construction():
@@ -124,13 +134,12 @@ def test_sigmoid_matches_mask_split_on_special_values():
     assert _same_bits(sigmoid(grid), _sigmoid_mask_split(grid))
 
 
-@pytest.mark.parametrize("batch", [None, 1, 20])
+@pytest.mark.parametrize("batch", [1, 20])
 def test_fused_layer_forward_matches_per_gate_bitwise(batch):
     rng = np.random.default_rng(11)
     (layer,) = make_layers(6, 5, 1, rng, scale=2.0)
-    shape = (lambda d: (d,)) if batch is None else (lambda d: (batch, d))
-    x = rng.normal(0, 1, shape(6))
-    h_prev, c_prev = rng.normal(0, 1, shape(5)), rng.normal(0, 1, shape(5))
+    x = rng.normal(0, 1, (batch, 6))
+    h_prev, c_prev = rng.normal(0, 1, (batch, 5)), rng.normal(0, 1, (batch, 5))
     out, c, rec = _layer_forward(layer, x, h_prev, c_prev)
     ref_out, ref_c, (i, f, g, o, _, tc) = _layer_forward_per_gate(layer, x, h_prev, c_prev)
     assert _same_bits(out, ref_out) and _same_bits(c, ref_c)
@@ -139,14 +148,14 @@ def test_fused_layer_forward_matches_per_gate_bitwise(batch):
 
 
 def _sequence_loss(layers, inputs, probe):
-    """Scalar probe of a full unrolled run: sum_t probe[t] . h_top[t]."""
-    state = LstmState.zeros(len(layers), layers[0].hidden_size)
+    """Scalar probe of a full unrolled batch-1 run: sum_t probe[t] . h_top[t]."""
+    state = LstmState.zeros(len(layers), layers[0].hidden_size, 1)
     total = 0.0
     records = []
     for t, x in enumerate(inputs):
         out, state, recs = lstm_step_record(layers, x, state)
         records.append(recs)
-        total += float(probe[t] @ out)
+        total += float(probe[t][0] @ out[0])
     return total, records
 
 
@@ -154,19 +163,16 @@ def test_sequence_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
     hidden, steps, input_size = 4, 5, 3
     layers = make_layers(input_size, hidden, 2, rng, scale=0.4)
-    inputs = [rng.normal(0, 1, input_size) for _ in range(steps)]
-    probe = [rng.normal(0, 1, hidden) for _ in range(steps)]
+    inputs = [rng.normal(0, 1, (1, input_size)) for _ in range(steps)]
+    probe = [rng.normal(0, 1, (1, hidden)) for _ in range(steps)]
 
     _, records = _sequence_loss(layers, inputs, probe)
-    grads, d_inputs = lstm_sequence_backward(layers, records, probe)
+    grads = zero_grads(layers)
+    d_inputs = lstm_sequence_backward(layers, records, probe, grads)
 
     h = 1e-5
     for l, layer in enumerate(layers):
-        for arr, g in (
-            (layer.w_x, grads[l].w_x),
-            (layer.w_h, grads[l].w_h),
-            (layer.b, grads[l].b),
-        ):
+        for arr, g in zip((layer.w_x, layer.w_h, layer.b), grads[l]):
             flat = arr.reshape(-1)
             gflat = g.reshape(-1)
             idx = rng.choice(flat.size, size=min(20, flat.size), replace=False)
@@ -183,41 +189,43 @@ def test_sequence_gradients_match_finite_differences():
     # input gradients too
     for t in range(steps):
         for i in range(input_size):
-            orig = inputs[t][i]
-            inputs[t][i] = orig + h
+            orig = inputs[t][0, i]
+            inputs[t][0, i] = orig + h
             up, _ = _sequence_loss(layers, inputs, probe)
-            inputs[t][i] = orig - h
+            inputs[t][0, i] = orig - h
             dn, _ = _sequence_loss(layers, inputs, probe)
-            inputs[t][i] = orig
+            inputs[t][0, i] = orig
             fd = (up - dn) / (2 * h)
-            assert abs(d_inputs[t][i] - fd) / max(abs(fd), 1e-6) < 1e-4
+            assert abs(d_inputs[t][0, i] - fd) / max(abs(fd), 1e-6) < 1e-4
 
 
 def test_zero_output_gradient_gives_zero_param_gradients():
     rng = np.random.default_rng(6)
     layers = make_layers(3, 4, 2, rng, scale=0.3)
-    inputs = [rng.normal(0, 1, 3) for _ in range(3)]
-    probe = [np.zeros(4) for _ in range(3)]
+    inputs = [rng.normal(0, 1, (1, 3)) for _ in range(3)]
+    probe = [np.zeros((1, 4)) for _ in range(3)]
     _, records = _sequence_loss(layers, inputs, probe)
-    grads, d_inputs = lstm_sequence_backward(layers, records, probe)
-    for g in grads:
-        assert np.all(g.w_x == 0) and np.all(g.w_h == 0) and np.all(g.b == 0)
+    grads = zero_grads(layers)
+    d_inputs = lstm_sequence_backward(layers, records, probe, grads)
+    for g_wx, g_wh, g_b in grads:
+        assert np.all(g_wx == 0) and np.all(g_wh == 0) and np.all(g_b == 0)
     assert all(np.all(d == 0) for d in d_inputs)
 
 
 def test_one_step_sequence_equals_single_step_backward():
     rng = np.random.default_rng(7)
     layers = make_layers(3, 4, 2, rng, scale=0.3)
-    x = rng.normal(0, 1, 3)
-    probe = rng.normal(0, 1, 4)
+    x = rng.normal(0, 1, (1, 3))
+    probe = rng.normal(0, 1, (1, 4))
     _, records = _sequence_loss(layers, [x], [probe])
-    grads_seq, _ = lstm_sequence_backward(layers, records, [probe])
+    grads_seq = zero_grads(layers)
+    lstm_sequence_backward(layers, records, [probe], grads_seq)
     _, records2 = _sequence_loss(layers, [x], [probe])
-    grads_one, _ = lstm_sequence_backward(layers, records2, [probe])
+    grads_one = zero_grads(layers)
+    lstm_sequence_backward(layers, records2, [probe], grads_one)
     for a, b in zip(grads_seq, grads_one):
-        assert np.array_equal(a.w_x, b.w_x)
-        assert np.array_equal(a.w_h, b.w_h)
-        assert np.array_equal(a.b, b.b)
+        for ga, gb in zip(a, b):
+            assert np.array_equal(ga, gb)
 
 
 def test_softmax_basics():

@@ -81,6 +81,15 @@ def test_baseline_ema_step():
     assert t.value(1) == pytest.approx(0.51)
 
 
+def test_baseline_from_version_1_dict_uses_the_table_decay():
+    # version-1 checkpoints store a decay per entry; the table's one decay rules
+    stored = {"0": {"value": 0.5, "decay": 0.5, "initialized": True}}
+    t = BaselineTable.from_dict(stored, 0.95)
+    t.update(0, 0.7)
+    assert t.value(0) == 0.95 * 0.5 + (1.0 - 0.95) * 0.7
+    assert t.as_dict()["0"]["decay"] == 0.95
+
+
 def test_baseline_constant_rewards_fixed_point():
     t = BaselineTable(0.9)
     for _ in range(100):
