@@ -56,8 +56,8 @@ from .trainer import (
     BaselineTable,
     ReplayBank,
     RewardRecord,
-    SearchResult,
     TrainerConfig,
+    TrainerState,
     compute_advantage,
     ppo_clipped_loss,
     run_search,

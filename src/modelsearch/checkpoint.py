@@ -258,11 +258,12 @@ def transfer_init(
     initialized embedding row; the replay bank starts empty; baselines for
     the new tasks are uninitialized. Pre-training tasks stay registered
     but inactive, so task sampling only visits the new tasks. Optimizer
-    moments are reset (fresh task distribution).
+    moments are reset (fresh task distribution). A given ``space`` must
+    match the checkpoint's fingerprint. Nothing in ``checkpoint`` is
+    modified, so one loaded checkpoint can seed many transfers.
     """
     rng = np.random.default_rng(seed_or_rng)
-    space = space if space is not None else checkpoint.actor.space
-    if space_fingerprint(space) != checkpoint.fingerprint:
+    if space is not None and space_fingerprint(space) != checkpoint.fingerprint:
         raise FingerprintMismatch("transfer target space differs from checkpoint")
     cfg = config if config is not None else checkpoint.config
 
@@ -293,7 +294,6 @@ def transfer_init(
         checkpoint.baselines.as_dict(), cfg.baseline_decay
     )
     return TrainerState(
-        space=space,
         registry=registry,
         evaluators=evaluators,
         actor=actor,

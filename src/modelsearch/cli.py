@@ -17,9 +17,14 @@ from .harness import run_experiment
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.replace(" ", "").split(",") if s]
+        seeds = [int(s) for s in text.replace(" ", "").split(",") if s]
     except ValueError:
-        raise ConfigError(f"--seed expects a comma-separated integer list, got {text!r}")
+        seeds = []
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(
+            f"--seed expects a comma-separated list of non-negative integers, got {text!r}"
+        )
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -53,6 +53,15 @@ class ExperimentConfig:
     base_dir: Path = field(default_factory=Path)
 
 
+def curve_file_name(task: str) -> str:
+    """The aggregate reward-curve file of one task."""
+    return f"curve_{task}.csv"
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"missing field {where}.{key}" if where else f"missing field {key}")
@@ -122,9 +131,9 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
 
     seeds = raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) for s in seeds
+        _is_int(s) and s >= 0 for s in seeds
     ):
-        raise ConfigError("seeds must be a non-empty list of integers")
+        raise ConfigError("seeds must be a non-empty list of non-negative integers")
 
     out_dir = base_dir / str(raw.get("out_dir", f"runs/{name}"))
 
@@ -138,7 +147,7 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
     )
     try:
         dims = ControllerDims(**dims_raw)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"controller: {e}") from e
 
     trainer_raw = raw.get("trainer", {})
@@ -166,7 +175,7 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
             )
         # every artifact is UTF-8, so a lone surrogate cannot be written either
         try:
-            file_name = f"curve_{tname}.csv".encode()
+            file_name = curve_file_name(tname).encode()
         except UnicodeError as e:
             raise ConfigError(f"{where}.name {tname!r} is not valid UTF-8 text") from e
         if len(file_name) > 255:
@@ -188,13 +197,13 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
     if mode == "transfer" and transfer_checkpoint is None:
         raise ConfigError("transfer.checkpoint is required in transfer mode")
 
-    heatmap_samples = int(raw.get("heatmap_samples", 10_000))
-    if heatmap_samples < 1:
-        raise ConfigError("heatmap_samples must be >= 1")
+    heatmap_samples = raw.get("heatmap_samples", 10_000)
+    if not _is_int(heatmap_samples) or heatmap_samples < 1:
+        raise ConfigError(f"heatmap_samples must be an integer >= 1, got {heatmap_samples!r}")
 
     return ExperimentConfig(
         name=name,
-        seeds=[int(s) for s in seeds],
+        seeds=seeds,
         out_dir=out_dir,
         space=space,
         tasks=tasks,
@@ -222,8 +231,8 @@ def build_evaluator(space: SearchSpace, task: TaskSpec, base_dir=Path(".")) -> E
                 raise ConfigError(f"{where}.optimum misses parameter {e}") from e
             except ModelSearchError as e:
                 raise ConfigError(f"{where}.optimum: {e}") from e
-        elif isinstance(optimum, list):
-            actions = tuple(int(a) for a in optimum)
+        elif isinstance(optimum, list) and all(_is_int(a) for a in optimum):
+            actions = tuple(optimum)
         else:
             raise ConfigError(f"{where}.optimum must be a list of indices or a mapping")
         try:

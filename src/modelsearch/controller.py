@@ -20,7 +20,6 @@ import numpy as np
 from .errors import IndexOutOfRange, LengthMismatch, UnknownTask
 from .kernel import (
     LstmLayerParams,
-    LstmState,
     log_softmax,
     lstm_sequence_backward,
     lstm_step_record,
@@ -45,6 +44,11 @@ class ControllerDims:
     action_embed: int = 25
     task_embed: int = 25
     num_layers: int = 2
+
+    def __post_init__(self):
+        for name, v in vars(self).items():
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
     @property
     def input_size(self) -> int:
@@ -230,7 +234,9 @@ def _forward(
         out_actions = np.empty((B, T), dtype=np.int64)
 
     layers = params.lstm_layers()
-    state = LstmState.zeros(dims.num_layers, dims.hidden_size, B)
+    # the kernel never writes its inputs, so every layer starts from one zero array
+    h0 = np.zeros((B, dims.hidden_size))
+    state = [(h0, h0)] * dims.num_layers
     task_e = params.task_embeddings()[task_ids]
     x_act = np.broadcast_to(params.start_embedding(), (B, dims.action_embed))
 
@@ -315,7 +321,7 @@ def policy_backward(
     if not fwd.records:
         raise ValueError("forward pass was not recorded; call teacher_forced")
 
-    grads = FlatParams.zeros(params.layout)
+    grads = ControllerParams.zeros(space, dims, params.n_tasks)
     rows = np.arange(B)
 
     # through each step's projection into the top-layer hidden outputs
@@ -326,17 +332,14 @@ def policy_backward(
         dlogits = -p * g
         dlogits[rows, fwd.actions[:, t]] += d_log_probs[:, t]
         w, _ = params.projection(t)
-        grads.get(f"proj_w.{t}")[...] += fwd.hidden[t].T @ dlogits
-        grads.get(f"proj_b.{t}")[...] += dlogits.sum(axis=0)
+        g_w, g_b = grads.projection(t)
+        g_w += fwd.hidden[t].T @ dlogits
+        g_b += dlogits.sum(axis=0)
         d_outputs.append(dlogits @ w.T)
 
     # through time and the layer stack, straight into the flat gradient
-    layer_grads = [
-        (grads.get(f"lstm{l}.w_x"), grads.get(f"lstm{l}.w_h"), grads.get(f"lstm{l}.b"))
-        for l in range(dims.num_layers)
-    ]
     d_inputs = lstm_sequence_backward(
-        params.lstm_layers(), fwd.records, d_outputs, layer_grads
+        params.lstm_layers(), fwd.records, d_outputs, grads.lstm_layers()
     )
 
     # split input gradients into the action half and the task half
@@ -347,10 +350,10 @@ def policy_backward(
         d_act = dx[:, :A]
         d_task_total += dx[:, A:]
         if t == 0:
-            grads.get("start_embedding")[...] += d_act.sum(axis=0)
+            grads.start_embedding()[...] += d_act.sum(axis=0)
         else:
-            np.add.at(grads.get(f"action_embed.{t - 1}"), fwd.actions[:, t - 1], d_act)
-    np.add.at(grads.get("task_embeddings"), fwd.task_ids, d_task_total)
+            np.add.at(grads.action_table(t - 1), fwd.actions[:, t - 1], d_act)
+    np.add.at(grads.task_embeddings(), fwd.task_ids, d_task_total)
 
     return grads.flat
 

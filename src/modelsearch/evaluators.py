@@ -79,6 +79,8 @@ class OracleTable:
             raise ValueError("accuracies must lie in [0, 1]")
         if noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 < reward_scale < np.inf:
+            raise ValueError(f"reward_scale must be a positive number, got {reward_scale!r}")
         self.space = space
         self.accuracies = accuracies
         self.accuracies.flags.writeable = False

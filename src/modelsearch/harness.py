@@ -25,7 +25,7 @@ from .checkpoint import (
     task_embedding_correlations,
     transfer_init,
 )
-from .config import ExperimentConfig, build_evaluators, load_experiment_config
+from .config import ExperimentConfig, build_evaluators, curve_file_name, load_experiment_config
 from .controller import (
     EXACT_ENUMERATION_LIMIT,
     action_distributions,
@@ -34,7 +34,7 @@ from .controller import (
 from .errors import ConfigError, DegenerateEmbedding, MissingLog
 from .evaluators import brute_force_optimum
 from .smoothing import smooth_with_auto_window
-from .trainer import Event, SearchResult, build_state, run_state
+from .trainer import Event, TrainerState, build_state, run_state
 
 log = logging.getLogger(__name__)
 
@@ -65,10 +65,10 @@ class _EventWriter:
         self.f.close()
 
 
-def _write_best_models(result: SearchResult, space, path: Path):
+def _write_best_models(state: TrainerState, path: Path):
     payload = {}
-    for task_id, event in sorted(result.best.items()):
-        cfg = space.decode(event.actions)
+    for task_id, event in sorted(state.best.items()):
+        cfg = state.actor.space.decode(event.actions)
         payload[event.task_name] = {
             "actions": list(event.actions),
             "config": {k: v for k, v in cfg.items},
@@ -78,25 +78,23 @@ def _write_best_models(result: SearchResult, space, path: Path):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _run_one_seed(config: ExperimentConfig, seed: int, seed_dir: Path, mode: str):
+def _run_one_seed(config: ExperimentConfig, tasks, ckpt, seed: int, seed_dir: Path):
+    """One seed's search, fresh or (with ``ckpt``) transferred; writes its files."""
     seed_dir.mkdir(parents=True, exist_ok=True)
-    tasks = build_evaluators(config)
     rng = np.random.default_rng(seed)
-    if mode == "transfer":
-        ckpt = load_checkpoint(config.transfer_checkpoint, config.space)
-        state = transfer_init(ckpt, tasks, rng, config=config.trainer, space=config.space)
+    if ckpt is not None:
+        state = transfer_init(ckpt, tasks, rng, config=config.trainer)
     else:
         state = build_state(config.space, tasks, config.trainer, rng, config.dims)
     writer = _EventWriter(seed_dir / "events.csv")
     try:
-        result = run_state(state, rng, on_event=writer)
+        run_state(state, rng, on_event=writer)
     finally:
         writer.close()
-    result.seed = seed
-    _write_best_models(result, config.space, seed_dir / "best_models.json")
+    _write_best_models(state, seed_dir / "best_models.json")
     save_checkpoint(state, seed_dir / "checkpoint.bin", meta_extra={"seed": seed})
     artifacts = ["events.csv", "best_models.json", "checkpoint.bin", "checkpoint.bin.manifest.txt"]
-    return result, [str(Path(seed_dir.name) / a) for a in artifacts]
+    return state, [str(Path(seed_dir.name) / a) for a in artifacts]
 
 
 def _group_rewards(triples):
@@ -113,17 +111,18 @@ def _group_rewards(triples):
     }
 
 
-def _write_aggregate(config: ExperimentConfig, out_dir: Path, results: list):
+def _write_aggregate(config: ExperimentConfig, out_dir: Path, states: list):
+    """Aggregate files over the final states, one per seed of ``config.seeds``."""
     agg = out_dir / "aggregate"
     agg.mkdir(parents=True, exist_ok=True)
     artifacts = []
 
     grouped = [
-        (r.seed, _group_rewards((e.task_name, e.iteration, e.reward) for e in r.events))
-        for r in results
+        (seed, _group_rewards((e.task_name, e.iteration, e.reward) for e in s.events))
+        for seed, s in zip(config.seeds, states)
     ]
     for task in (t.name for t in config.tasks):
-        path = agg / f"curve_{task}.csv"
+        path = agg / curve_file_name(task)
         with open(path, "w", newline="") as f:
             w = _csv_writer(f)
             w.writerow(["seed", "iteration", "reward", "reward_smoothed"])
@@ -137,7 +136,7 @@ def _write_aggregate(config: ExperimentConfig, out_dir: Path, results: list):
         artifacts.append(str(Path("aggregate") / path.name))
 
     # heatmap and correlations come from the first seed's final controller
-    rep = results[0]
+    rep, rep_seed = states[0], config.seeds[0]
     with open(agg / "heatmap.csv", "w", newline="") as f:
         w = _csv_writer(f)
         w.writerow(["task", "parameter", "choice", "probability"])
@@ -152,7 +151,7 @@ def _write_aggregate(config: ExperimentConfig, out_dir: Path, results: list):
                     rep.actor,
                     entry.task_id,
                     config.heatmap_samples,
-                    np.random.default_rng([rep.seed or 0, entry.task_id, 7]),
+                    np.random.default_rng([rep_seed, entry.task_id, 7]),
                 )
             for p, marg in zip(config.space.params, margs):
                 for choice, prob in zip(p.choices, marg):
@@ -184,16 +183,22 @@ def run_search_experiment(config: ExperimentConfig, mode: str = "search") -> Pat
         raise ConfigError("transfer.checkpoint is required in transfer mode")
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = []
+    # evaluators are pure functions of (config, seed) and transfer_init
+    # copies what it takes from the checkpoint, so every seed shares both
+    tasks = build_evaluators(config)
+    ckpt = None
+    if mode == "transfer":
+        ckpt = load_checkpoint(config.transfer_checkpoint, config.space)
+    states = []
     artifacts = []
     for seed in config.seeds:
         log.info("running seed %d into %s", seed, out_dir / f"seed_{seed}")
-        result, seed_artifacts = _run_one_seed(
-            config, seed, out_dir / f"seed_{seed}", mode
+        state, seed_artifacts = _run_one_seed(
+            config, tasks, ckpt, seed, out_dir / f"seed_{seed}"
         )
-        results.append(result)
+        states.append(state)
         artifacts.extend(seed_artifacts)
-    artifacts.extend(_write_aggregate(config, out_dir, results))
+    artifacts.extend(_write_aggregate(config, out_dir, states))
     manifest = {"experiment": config.name, "mode": mode, "artifacts": artifacts}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return out_dir

@@ -73,20 +73,6 @@ class LstmLayerParams:
             )
 
 
-class LstmState:
-    """Per-layer (h, c) pair. Immutable by convention; steps return new ones."""
-
-    __slots__ = ("layers",)
-
-    def __init__(self, layers):
-        self.layers = tuple(layers)  # tuple of (h, c)
-
-    @classmethod
-    def zeros(cls, n_layers: int, hidden_size: int, batch: int):
-        shape = (batch, hidden_size)
-        return cls([(np.zeros(shape), np.zeros(shape)) for _ in range(n_layers)])
-
-
 @dataclass
 class LstmStepRecord:
     """Activations of one layer at one timestep, retained for backprop."""
@@ -98,7 +84,6 @@ class LstmStepRecord:
     f: np.ndarray
     g: np.ndarray
     o: np.ndarray
-    c: np.ndarray
     tc: np.ndarray  # tanh(c)
 
 
@@ -113,17 +98,19 @@ def _layer_forward(p: LstmLayerParams, x, h_prev, c_prev):
     c = f * c_prev + i * g
     tc = np.tanh(c)
     out = o * tc
-    return out, c, LstmStepRecord(x, h_prev, c_prev, i, f, g, o, c, tc)
+    return out, c, LstmStepRecord(x, h_prev, c_prev, i, f, g, o, tc)
 
 
-def lstm_step_record(params, x: np.ndarray, state: LstmState):
+def lstm_step_record(params, x: np.ndarray, state):
     """One forward step of a ``(B, d)`` batch through the layer stack.
 
-    Layer l's hidden output feeds layer l+1's input. Returns (top h, new
-    state, one LstmStepRecord per layer) for lstm_sequence_backward.
+    ``state`` holds one ``(h, c)`` pair of ``(B, H)`` arrays per layer.
+    Layer l's hidden output feeds layer l+1's input. Returns (top h, the
+    new list of pairs, one LstmStepRecord per layer) for
+    lstm_sequence_backward.
     """
     params = list(params)
-    if len(params) != len(state.layers):
+    if len(params) != len(state):
         raise ShapeMismatch("state has a different number of layers than params")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -135,14 +122,14 @@ def lstm_step_record(params, x: np.ndarray, state: LstmState):
     records = []
     new_layers = []
     inp = x
-    for p, (h_prev, c_prev) in zip(params, state.layers):
+    for p, (h_prev, c_prev) in zip(params, state):
         if h_prev.shape[-1] != p.hidden_size:
             raise ShapeMismatch("state width does not match hidden size")
         out, c, rec = _layer_forward(p, inp, h_prev, c_prev)
         records.append(rec)
         new_layers.append((out, c))
         inp = out
-    return inp, LstmState(new_layers), records
+    return inp, new_layers, records
 
 
 def lstm_sequence_backward(params, records, d_outputs, grads):
@@ -150,7 +137,7 @@ def lstm_sequence_backward(params, records, d_outputs, grads):
 
     ``records[t][l]`` is layer l's LstmStepRecord at step t as produced by
     lstm_step_record; ``d_outputs[t]`` is the loss gradient at the top-layer
-    output of step t. ``grads[l]`` is a ``(w_x, w_h, b)`` tuple of arrays
+    output of step t. ``grads[l]`` is an LstmLayerParams of gradient arrays
     shaped like layer l's weights; each step's gradient is added into them
     in place. Returns d_inputs, where d_inputs[t] is the gradient at the
     bottom-layer input of step t.
@@ -187,10 +174,10 @@ def lstm_sequence_backward(params, records, d_outputs, grads):
                 ],
                 axis=-1,
             )
-            g_wx, g_wh, g_b = grads[l]
-            g_wx += rec.x.T @ dz
-            g_wh += rec.h_prev.T @ dz
-            g_b += dz.sum(axis=0)
+            g = grads[l]
+            g.w_x[...] += rec.x.T @ dz
+            g.w_h[...] += rec.h_prev.T @ dz
+            g.b[...] += dz.sum(axis=0)
             dh_carry[l] = dz @ params[l].w_h.T
             d_above = dz @ params[l].w_x.T
         d_inputs[t] = d_above

@@ -52,9 +52,3 @@ class FlatParams:
     def get(self, name: str) -> np.ndarray:
         lo, hi, shape = self.layout.offsets[name]
         return self.flat[lo:hi].reshape(shape)
-
-    def copy(self) -> "FlatParams":
-        return FlatParams(self.layout, self.flat.copy())
-
-    def with_flat(self, flat: np.ndarray) -> "FlatParams":
-        return FlatParams(self.layout, flat)

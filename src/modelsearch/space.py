@@ -76,9 +76,6 @@ class ModelConfig:
         except KeyError:
             raise UnknownChoice(name, None) from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def as_dict(self) -> dict:
         return dict(self._items)
 
@@ -148,12 +145,6 @@ class SearchSpace:
     @property
     def choice_counts(self) -> tuple[int, ...]:
         return self._counts
-
-    def param(self, name: str) -> ParamSpec:
-        for p in self._params:
-            if p.name == name:
-                return p
-        raise UnknownChoice(name, None)
 
     def cardinality(self) -> int:
         n = 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,6 +57,15 @@ class TrainerConfig:
     critic_steps_per_iteration: int = 1
 
     def __post_init__(self):
+        # the annotations say which fields count things and which are real
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.type == "float | None":
+                continue
+            kind = int if f.type == "int" else (int, float)
+            if isinstance(v, bool) or not isinstance(v, kind):
+                what = "an integer" if kind is int else "a number"
+                raise TypeError(f"{f.name} must be {what}, got {v!r}")
         for name in (
             "batch_size",
             "critic_lr",
@@ -66,10 +75,12 @@ class TrainerConfig:
             "critic_steps_per_iteration",
             "baseline_floor",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.total_iterations < 0:
             raise ValueError("total_iterations must be >= 0")
+        if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
+            raise ValueError("grad_clip_norm must be null or positive")
         for name in ("polyak_keep", "clip_epsilon", "baseline_decay"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -238,9 +249,11 @@ class Event:
 
 @dataclass
 class TrainerState:
-    """Everything a search owns; a single logical thread mutates it."""
+    """Everything a search owns; a single logical thread mutates it.
 
-    space: SearchSpace
+    The search space is the controllers' own, ``state.actor.space``.
+    """
+
     registry: TaskRegistry
     evaluators: dict  # task_id -> EvaluatorBinding
     actor: ControllerParams
@@ -253,18 +266,6 @@ class TrainerState:
     critic_steps: int = 0
     events: list = field(default_factory=list)
     best: dict = field(default_factory=dict)  # task_id -> Event
-
-
-@dataclass
-class SearchResult:
-    events: list
-    best: dict
-    actor: ControllerParams
-    critic: ControllerParams
-    baselines: BaselineTable
-    registry: TaskRegistry
-    config: TrainerConfig
-    seed: int | None = None
 
 
 def build_state(
@@ -287,7 +288,6 @@ def build_state(
     critic = actor.copy()
     baselines = BaselineTable(config.baseline_decay)
     return TrainerState(
-        space=space,
         registry=registry,
         evaluators=evaluators,
         actor=actor,
@@ -350,7 +350,7 @@ def train_iteration(state: TrainerState, rng, on_event: Callable | None = None):
 
     for _ in range(cfg.samples_per_iteration):
         model = sample_sequence(state.actor, task_id, rng)
-        config = state.space.decode(model.actions)
+        config = state.actor.space.decode(model.actions)
         eval_seed = int(rng.integers(0, 2**63 - 1))
         try:
             reward = float(evaluator(config, eval_seed))
@@ -401,21 +401,15 @@ def train_iteration(state: TrainerState, rng, on_event: Callable | None = None):
 
 def run_state(
     state: TrainerState, seed_or_rng, on_event: Callable | None = None
-) -> SearchResult:
-    """Run the configured number of iterations on an existing state."""
+) -> TrainerState:
+    """Run the configured number of iterations on an existing state.
+
+    Returns the same state, now holding the run's events and best models.
+    """
     rng = np.random.default_rng(seed_or_rng)
     for _ in range(state.config.total_iterations):
         train_iteration(state, rng, on_event)
-    return SearchResult(
-        events=state.events,
-        best=state.best,
-        actor=state.actor,
-        critic=state.critic,
-        baselines=state.baselines,
-        registry=state.registry,
-        config=state.config,
-        seed=seed_or_rng if isinstance(seed_or_rng, int) else None,
-    )
+    return state
 
 
 def run_search(
@@ -425,10 +419,7 @@ def run_search(
     seed: int,
     dims: ControllerDims = ControllerDims(),
     on_event: Callable | None = None,
-) -> SearchResult:
+) -> TrainerState:
     """Fresh multitask search: deterministic function of its arguments."""
     rng = np.random.default_rng(seed)
-    state = build_state(space, tasks, config, rng, dims)
-    result = run_state(state, rng, on_event)
-    result.seed = seed
-    return result
+    return run_state(build_state(space, tasks, config, rng, dims), rng, on_event)

@@ -3,13 +3,17 @@
 perfbench/tracing.py replaces functions and methods by name in the
 modules and classes that look them up. Installing and removing every one
 of those wrappers here makes a deleted or moved name fail in the test
-suite, not only in a traced benchmark run.
+suite, not only in a traced benchmark run. A short traced search then
+checks the benchmark's tie-outs, which also read argument positions and
+call counts.
 """
 
 import sys
 from pathlib import Path
+from time import perf_counter_ns
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import modelsearch  # noqa: E402
@@ -21,7 +25,10 @@ import modelsearch.harness  # noqa: E402,F401
 import modelsearch.kernel  # noqa: E402,F401
 import modelsearch.space  # noqa: E402,F401
 import modelsearch.trainer  # noqa: E402,F401
+import layers  # noqa: E402
+import run  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_every_traced_name_can_be_wrapped_and_restored():
@@ -31,3 +38,28 @@ def test_every_traced_name_can_be_wrapped_and_restored():
         for w, original in zip(wraps, originals):
             assert vars(w.owner)[w.attr] is not original
     assert [vars(w.owner)[w.attr] for w in wraps] == originals
+
+
+def test_traced_search_ties_out(tmp_path):
+    workload = workloads.Workload(
+        "tie-out",
+        "configs/planted-pair.yaml",
+        {"samples_per_iteration": 2, "total_iterations": 30},
+    )
+    config_path = workloads.write_config(workload, ROOT, tmp_path, 0)
+    config = modelsearch.config.load_experiment_config(config_path)
+    out_dir = tmp_path / "traced"
+    tracer = tracing.Tracer()
+    argv = ["search", "--config", str(config_path), "--seed", "0", "--out", str(out_dir)]
+    with tracing.patched(tracer.wraps(modelsearch)):
+        start = perf_counter_ns()
+        code = modelsearch.cli.main(argv)
+        end = perf_counter_ns()
+    assert code == 0
+    with open(out_dir / "seed_0" / "events.csv") as f:
+        rows = sum(1 for _ in f) - 1
+    assert rows == 60
+    traced = run.Search(out_dir, start, end, completed=True, rows=rows)
+    metrics, problems = layers.layer_metrics(tracer, config, traced, traced.seconds)
+    assert problems == []
+    assert metrics["kernel.lstm_step.calls"][0] == 7 * (60 + 30)

@@ -70,8 +70,17 @@ def test_default_space_keyword(tmp_path):
     [
         ("seeds: []", "seeds"),
         ("seeds: [a]", "seeds"),
+        ("seeds: [true]", "seeds"),
+        ("seeds: [-1]", "seeds"),
         ("mode: fly", "mode"),
         ("heatmap_samples: 0", "heatmap_samples"),
+        ("heatmap_samples: lots", "heatmap_samples"),
+        ("heatmap_samples: 2.5", "heatmap_samples"),
+        ("controller: {hidden_size: -2}", "controller: hidden_size"),
+        ("controller: {hidden_size: 0}", "controller: hidden_size"),
+        ("controller: {num_layers: 0}", "controller: num_layers"),
+        ("controller: {task_embed: 2.5}", "controller: task_embed"),
+        ("controller: {action_embed: true}", "controller: action_embed"),
         ("unknown_top: 3", "unknown_top"),
         # report mode takes its threshold from the command line, never a config
         ("report: {threshold: 0.5}", "unknown field report"),
@@ -126,6 +135,52 @@ def test_unknown_trainer_field_named(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_experiment_config(write(tmp_path, text))
     assert "total_iterationz" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "batch_size: 2.5",
+        "replay_capacity: 2.5",
+        "samples_per_iteration: 1.5",
+        "total_iterations: 5.5",
+        "steps_per_sync: 2.5",
+        "critic_steps_per_iteration: true",
+        "grad_clip_norm: '5'",
+        "grad_clip_norm: -1",
+        "critic_lr: fast",
+        "critic_lr: .nan",
+    ],
+)
+def test_bad_trainer_field_values_named(tmp_path, field):
+    text = GOOD.replace("total_iterations: 10", field)
+    name = field.split(":")[0]
+    with pytest.raises(ConfigError, match=f"^trainer: {name} must"):
+        load_experiment_config(write(tmp_path, text))
+
+
+def test_trainer_accepts_null_grad_clip_and_integer_rates(tmp_path):
+    text = GOOD.replace("total_iterations: 10", "grad_clip_norm: null\n  critic_lr: 1")
+    cfg = load_experiment_config(write(tmp_path, text))
+    assert cfg.trainer.grad_clip_norm is None and cfg.trainer.critic_lr == 1
+
+
+@pytest.mark.parametrize(
+    "evaluator, field",
+    [
+        ("optimum: [1, z]", "optimum"),
+        ("optimum: [1, true]", "optimum"),
+        ("optimum: [0, 1], reward_scale: -1", "reward_scale"),
+        ("optimum: [0, 1], reward_scale: 0", "reward_scale"),
+        ("optimum: [0, 1], reward_scale: .inf", "reward_scale"),
+    ],
+)
+def test_bad_planted_evaluator_values_named(tmp_path, evaluator, field):
+    text = GOOD.replace("optimum: [0, 1]", evaluator)
+    cfg = load_experiment_config(write(tmp_path, text))
+    with pytest.raises(ConfigError, match=r"^tasks\[t0\]\.evaluator") as exc:
+        build_evaluators(cfg)
+    assert field in str(exc.value)
 
 
 def test_transfer_mode_requires_checkpoint():

@@ -214,6 +214,42 @@ def test_cli_rejects_task_names_that_cannot_be_file_names(tmp_path, capsys, name
     assert not list(tmp_path.rglob("seed_*"))
 
 
+@pytest.mark.parametrize(
+    "old, new, prefix",
+    [
+        ("hidden_size: 8", "hidden_size: -2", "controller: hidden_size"),
+        ("hidden_size: 8", "hidden_size: 0", "controller: hidden_size"),
+        ("task_embed: 4}", "task_embed: 4, num_layers: 0}", "controller: num_layers"),
+        ("seeds: [0, 1, 2]", "seeds: [true]", "seeds"),
+        ("out_dir: out", "heatmap_samples: lots", "heatmap_samples"),
+        ("replay_capacity: 50", "replay_capacity: 2.5", "trainer: replay_capacity"),
+        ("replay_capacity: 50", "batch_size: 2.5", "trainer: batch_size"),
+        ("replay_capacity: 50", "samples_per_iteration: 1.5", "trainer: samples_per_iteration"),
+        ("total_iterations: 40", "total_iterations: 5.5", "trainer: total_iterations"),
+        ("replay_capacity: 50", "steps_per_sync: 2.5", "trainer: steps_per_sync"),
+        ("replay_capacity: 50", "grad_clip_norm: '5'", "trainer: grad_clip_norm"),
+        ("replay_capacity: 50", "grad_clip_norm: -1", "trainer: grad_clip_norm"),
+        ("optimum: [0, 1]", "optimum: [1, z]", "tasks[t0].evaluator.optimum"),
+        ("ceiling: 0.9,", "reward_scale: -1,", "tasks[t0].evaluator: reward_scale"),
+    ],
+)
+def test_cli_rejects_bad_config_values(tmp_path, capsys, old, new, prefix):
+    assert old in SMALL_EXPERIMENT
+    cfg_path = write_config(tmp_path, SMALL_EXPERIMENT.replace(old, new, 1))
+    rc = cli_main(["search", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+    assert not list(tmp_path.rglob("seed_*"))
+
+
+@pytest.mark.parametrize("seeds", ["-1", "0,-3", ",", "x"])
+def test_cli_rejects_bad_seed_lists(tmp_path, capsys, seeds):
+    cfg_path = write_config(tmp_path)
+    argv = ["search", "--config", str(cfg_path), "--seed", seeds, "--out", str(tmp_path / "x")]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: --seed")
+
+
 def test_cli_transfer_without_checkpoint_is_config_error(tmp_path):
     cfg_path = write_config(tmp_path)
     rc = cli_main(["transfer", "--config", str(cfg_path), "--out", str(tmp_path / "x")])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from modelsearch.errors import ShapeMismatch
 from modelsearch.kernel import (
     LstmLayerParams,
-    LstmState,
     _layer_forward,
     log_softmax,
     lstm_sequence_backward,
@@ -33,15 +32,22 @@ def make_layers(input_size, hidden, n_layers, rng=None, scale=0.0):
 
 
 def zero_grads(layers):
-    return [(np.zeros_like(p.w_x), np.zeros_like(p.w_h), np.zeros_like(p.b)) for p in layers]
+    return [
+        LstmLayerParams(np.zeros_like(p.w_x), np.zeros_like(p.w_h), np.zeros_like(p.b))
+        for p in layers
+    ]
+
+
+def zero_state(n_layers, hidden, batch):
+    return [(np.zeros((batch, hidden)), np.zeros((batch, hidden))) for _ in range(n_layers)]
 
 
 def test_zero_weights_zero_state_gives_zero_output():
     layers = make_layers(3, 4, 2)
-    state = LstmState.zeros(2, 4, 1)
+    state = zero_state(2, 4, 1)
     out, new_state, _ = lstm_step_record(layers, np.ones((1, 3)), state)
     assert np.allclose(out, 0.0)
-    for h, c in new_state.layers:
+    for h, c in new_state:
         assert np.allclose(h, 0.0)
         assert np.allclose(c, 0.0)
 
@@ -49,9 +55,9 @@ def test_zero_weights_zero_state_gives_zero_output():
 def test_zero_weights_nonzero_cell():
     # gates sit at 1/2, candidate at 0: c' = c/2, h' = sigmoid(0)*tanh(c')
     layers = make_layers(2, 1, 1)
-    state = LstmState([(np.array([[0.3]]), np.array([[2.0]]))])
+    state = [(np.array([[0.3]]), np.array([[2.0]]))]
     out, new_state, _ = lstm_step_record(layers, np.zeros((1, 2)), state)
-    h, c = new_state.layers[0]
+    h, c = new_state[0]
     assert np.allclose(c, 1.0)
     assert np.allclose(h, 0.5 * np.tanh(1.0))
     assert np.allclose(out, 0.5 * np.tanh(1.0), atol=1e-12)
@@ -60,18 +66,18 @@ def test_zero_weights_nonzero_cell():
 
 def test_shape_mismatch_raises():
     layers = make_layers(3, 4, 1)
-    state = LstmState.zeros(1, 4, 1)
+    state = zero_state(1, 4, 1)
     with pytest.raises(ShapeMismatch):
         lstm_step_record(layers, np.ones((1, 5)), state)
     with pytest.raises(ShapeMismatch):
-        lstm_step_record(layers, np.ones((1, 3)), LstmState.zeros(2, 4, 1))
+        lstm_step_record(layers, np.ones((1, 3)), zero_state(2, 4, 1))
 
 
 def test_unbatched_input_rejected():
     # a 1-D input would broadcast against (1, H) states and give wrong gradients
     layers = make_layers(3, 4, 1)
     with pytest.raises(ShapeMismatch, match=r"\(B, d\) batch"):
-        lstm_step_record(layers, np.ones(3), LstmState.zeros(1, 4, 1))
+        lstm_step_record(layers, np.ones(3), zero_state(1, 4, 1))
 
 
 def test_misshaped_layer_rejected_at_construction():
@@ -149,7 +155,7 @@ def test_fused_layer_forward_matches_per_gate_bitwise(batch):
 
 def _sequence_loss(layers, inputs, probe):
     """Scalar probe of a full unrolled batch-1 run: sum_t probe[t] . h_top[t]."""
-    state = LstmState.zeros(len(layers), layers[0].hidden_size, 1)
+    state = zero_state(len(layers), layers[0].hidden_size, 1)
     total = 0.0
     records = []
     for t, x in enumerate(inputs):
@@ -172,7 +178,8 @@ def test_sequence_gradients_match_finite_differences():
 
     h = 1e-5
     for l, layer in enumerate(layers):
-        for arr, g in zip((layer.w_x, layer.w_h, layer.b), grads[l]):
+        g_l = grads[l]
+        for arr, g in zip((layer.w_x, layer.w_h, layer.b), (g_l.w_x, g_l.w_h, g_l.b)):
             flat = arr.reshape(-1)
             gflat = g.reshape(-1)
             idx = rng.choice(flat.size, size=min(20, flat.size), replace=False)
@@ -207,8 +214,8 @@ def test_zero_output_gradient_gives_zero_param_gradients():
     _, records = _sequence_loss(layers, inputs, probe)
     grads = zero_grads(layers)
     d_inputs = lstm_sequence_backward(layers, records, probe, grads)
-    for g_wx, g_wh, g_b in grads:
-        assert np.all(g_wx == 0) and np.all(g_wh == 0) and np.all(g_b == 0)
+    for g in grads:
+        assert np.all(g.w_x == 0) and np.all(g.w_h == 0) and np.all(g.b == 0)
     assert all(np.all(d == 0) for d in d_inputs)
 
 
@@ -224,7 +231,7 @@ def test_one_step_sequence_equals_single_step_backward():
     grads_one = zero_grads(layers)
     lstm_sequence_backward(layers, records2, [probe], grads_one)
     for a, b in zip(grads_seq, grads_one):
-        for ga, gb in zip(a, b):
+        for ga, gb in ((a.w_x, b.w_x), (a.w_h, b.w_h), (a.b, b.b)):
             assert np.array_equal(ga, gb)
 
 
