@@ -191,7 +191,11 @@ def save_checkpoint(state, path, meta_extra: dict | None = None):
 
 
 def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
-    """Read a checkpoint back; verifies version and space fingerprint."""
+    """Read a checkpoint back; verifies version, space fingerprint and metadata.
+
+    A truncated or malformed file raises IoFailure; for malformed metadata
+    the message names the file.
+    """
     try:
         with open(path, "rb") as f:
             magic = _read_exact(f, len(MAGIC))
@@ -203,7 +207,7 @@ def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
             fingerprint = _read_exact(f, 32)
             struct.unpack("<d", _read_exact(f, 8))  # timestamp, unused
             (meta_len,) = struct.unpack("<I", _read_exact(f, 4))
-            meta = json.loads(_read_exact(f, meta_len).decode())
+            meta_b = _read_exact(f, meta_len)
             (n_arrays,) = struct.unpack("<I", _read_exact(f, 4))
             arrays = dict(_read_array(f) for _ in range(n_arrays))
     except OSError as e:
@@ -214,8 +218,21 @@ def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
             "checkpoint was written for a different search space"
         )
 
-    dims = ControllerDims(**meta["dims"])
-    n_tasks = int(meta["n_tasks"])
+    try:
+        meta = json.loads(meta_b.decode())
+        dims = ControllerDims(**meta["dims"])
+        n_tasks = meta["n_tasks"]
+        if isinstance(n_tasks, bool) or not isinstance(n_tasks, int) or n_tasks < 1:
+            raise ValueError(f"n_tasks must be an integer >= 1, got {n_tasks!r}")
+        cfg = TrainerConfig(**meta["trainer_config"])
+        baselines = BaselineTable.from_dict(meta["baselines"], cfg.baseline_decay)
+        registry = _registry_from_meta(meta["registry"])
+        if len(registry) != n_tasks:
+            raise ValueError(f"{len(registry)} registered tasks for n_tasks {n_tasks}")
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise IoFailure(
+            f"checkpoint at {path} has malformed metadata: {type(e).__name__}: {e}"
+        ) from e
 
     def rebuild(prefix: str) -> ControllerParams:
         params = ControllerParams.zeros(space, dims, n_tasks)
@@ -229,16 +246,13 @@ def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
             view[...] = arrays[key]
         return params
 
-    actor = rebuild("actor/")
-    critic = rebuild("critic/")
-    cfg = TrainerConfig(**meta["trainer_config"])
     return CheckpointState(
         version=version,
         fingerprint=fingerprint,
-        actor=actor,
-        critic=critic,
-        baselines=BaselineTable.from_dict(meta["baselines"], cfg.baseline_decay),
-        registry=_registry_from_meta(meta["registry"]),
+        actor=rebuild("actor/"),
+        critic=rebuild("critic/"),
+        baselines=baselines,
+        registry=registry,
         config=cfg,
         meta=meta,
     )

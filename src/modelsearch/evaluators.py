@@ -8,7 +8,8 @@ validation accuracy. Every evaluator is pure: the same (config, seed)
 always yields the same reward.
 
 Child training keeps all trained arrays as views into one flat vector and
-makes one Adagrad call per step.
+makes one Adagrad call per step. It draws every step's batch indices at
+once and runs each step in buffers allocated once per evaluation.
 """
 
 from __future__ import annotations
@@ -105,10 +106,33 @@ class OracleTable:
 
     @classmethod
     def from_csv(cls, path, space: SearchSpace, **kwargs) -> "OracleTable":
-        acc = np.full(space.cardinality(), np.nan)
+        """Table from ``index,accuracy`` rows, one per configuration rank.
+
+        A missing column, an index that is not an integer, lies outside the
+        space or repeats, and an accuracy that is not a number in [0, 1]
+        each raise ValueError naming the file and line.
+        """
+        n = space.cardinality()
+        acc = np.full(n, np.nan)
         with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                acc[int(row["index"])] = float(row["accuracy"])
+            reader = csv.DictReader(f)
+            for column in ("index", "accuracy"):
+                if column not in (reader.fieldnames or ()):
+                    raise ValueError(f"table at {path}, line 1: no {column!r} column")
+            for row in reader:
+                where = f"table at {path}, line {reader.line_num}"
+                try:
+                    index = int(row["index"])
+                    accuracy = float(row["accuracy"])
+                except (TypeError, ValueError) as e:
+                    raise ValueError(f"{where}: {e}") from e
+                if not 0 <= index < n:
+                    raise ValueError(f"{where}: index {index} outside [0, {n})")
+                if not 0.0 <= accuracy <= 1.0:
+                    raise ValueError(f"{where}: accuracy {accuracy} outside [0, 1]")
+                if not np.isnan(acc[index]):
+                    raise ValueError(f"{where}: index {index} appears twice")
+                acc[index] = accuracy
         if np.any(np.isnan(acc)):
             missing = int(np.isnan(acc).sum())
             raise ValueError(f"table at {path} misses {missing} configs")
@@ -289,37 +313,65 @@ def child_forward_logits(params: list, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def child_grads(params: list, x: np.ndarray, y: np.ndarray, input_grad: bool = False):
-    """Logits, exact mean-cross-entropy parameter gradients, optional input grad."""
+class ChildBuffers:
+    """Work arrays of one child network at one batch size, allocated once.
+
+    ``outs[i]`` holds layer i's output (after the ReLU; the last one holds
+    the logits), ``deltas[i]`` and ``masks[i]`` the loss gradient at and the
+    ReLU mask of hidden output i, and ``d_input``, when asked for, the loss
+    gradient at the network input.
+    """
+
+    def __init__(self, params: list, batch: int, input_grad: bool = False):
+        self.rows = np.arange(batch)
+        self.outs = [np.empty((batch, w.shape[1])) for w in params[0::2]]
+        self.deltas = [np.empty_like(h) for h in self.outs[:-1]]
+        self.masks = [np.empty(h.shape, dtype=bool) for h in self.outs[:-1]]
+        self.d_input = np.empty((batch, params[0].shape[0])) if input_grad else None
+
+
+def child_grads(params: list, x: np.ndarray, y: np.ndarray, grads: list, bufs: ChildBuffers):
+    """Logits of a batch; writes the exact mean-cross-entropy gradients.
+
+    ``grads[j]`` receives the gradient of ``params[j]`` and, when
+    ``bufs.d_input`` exists, it receives the gradient at ``x``. Every result
+    lands in an array the caller owns; the returned logits are
+    ``bufs.outs[-1]``.
+    """
     n_pairs = len(params) // 2
-    acts = [x]
     h = x
     for i in range(n_pairs):
-        z = h @ params[2 * i] + params[2 * i + 1]
-        h = np.maximum(z, 0.0) if i + 1 < n_pairs else z
-        acts.append(h)
-    logits = acts[-1]
-    B = x.shape[0]
+        z = np.matmul(h, params[2 * i], out=bufs.outs[i])
+        z += params[2 * i + 1]
+        if i + 1 < n_pairs:  # the head stays linear
+            np.maximum(z, 0.0, out=z)
+        h = z
+    logits = h
 
     d = softmax(logits)
-    d[np.arange(B), y] -= 1.0
-    d /= B
-    grads: list = [None] * len(params)
+    d[bufs.rows, y] -= 1.0
+    d /= x.shape[0]
     for i in reversed(range(n_pairs)):
-        grads[2 * i] = acts[i].T @ d
-        grads[2 * i + 1] = d.sum(axis=0)
+        below = bufs.outs[i - 1] if i > 0 else x
+        np.matmul(below.T, d, out=grads[2 * i])
+        np.add.reduce(d, axis=0, out=grads[2 * i + 1])
         if i > 0:
-            d = (d @ params[2 * i].T) * (acts[i] > 0.0)
-    d_input = d @ params[0].T if input_grad else None
-    return logits, grads, d_input
+            mask = np.greater(below, 0.0, out=bufs.masks[i - 1])
+            d = np.matmul(d, params[2 * i].T, out=bufs.deltas[i - 1])
+            d *= mask
+    if bufs.d_input is not None:
+        np.matmul(d, params[0].T, out=bufs.d_input)
+    return logits
 
 
 def child_loss_and_grads(params: list, x: np.ndarray, y: np.ndarray, input_grad: bool = False):
     """Mean cross-entropy, exact parameter gradients, optional input grad."""
-    logits, grads, d_input = child_grads(params, x, y, input_grad)
+    grads = [np.empty_like(p) for p in params]
+    bufs = ChildBuffers(params, x.shape[0], input_grad)
+    logits = child_grads(params, x, y, grads, bufs)
     logp = log_softmax(logits)
-    loss = -float(logp[np.arange(x.shape[0]), y].mean())
-    return loss, grads, d_input
+    loss = -float(logp[bufs.rows, y].mean())
+    return loss, grads, bufs.d_input
 
 
 def train_child_network(config: ModelConfig, task: ToyTask, seed: int) -> float:
@@ -349,6 +401,11 @@ def train_child_network(config: ModelConfig, task: ToyTask, seed: int) -> float:
     rng = np.random.default_rng(seed)
     extractor = task.extractors[label]
     mlp = child_init(extractor.shape[1], n_layers, n_nodes, task.n_classes, rng)
+    batch = 100
+    # one draw for every step equals one draw per step, values and final
+    # generator state alike: numpy keeps the spare 32-bit half of a bounded
+    # draw in the bit generator, not in the call
+    batches = rng.integers(0, task.train_x.shape[0], size=(iters, batch))
 
     # every trained array is a view into one flat vector, so one Adagrad
     # call per step updates them all; a frozen extractor is only read
@@ -364,20 +421,24 @@ def train_child_network(config: ModelConfig, task: ToyTask, seed: int) -> float:
     if trainable:
         extractor = views[0]
     mlp = views[-len(mlp):]
+    mlp_grads = grad_views[-len(mlp):]
     acc_state = np.zeros(layout.total_size)
 
-    n_train = task.train_x.shape[0]
-    batch = 100
-    for _ in range(iters):
-        idx = rng.integers(0, n_train, size=batch)
-        raw = task.train_x[idx]
-        yb = task.train_y[idx]
-        _, mlp_grads, d_feat = child_grads(mlp, raw @ extractor, yb, input_grad=trainable)
-        grads = ([raw.T @ d_feat] if trainable else []) + mlp_grads
-        for view, g in zip(grad_views, grads):
-            view[...] = g
-        new, acc_state = adagrad_l2_update(params.flat, grad.flat, acc_state, lr, l2)
-        params.flat[...] = new
+    # the batch, its features and every activation live in buffers reused
+    # by each step
+    bufs = ChildBuffers(mlp, batch, input_grad=trainable)
+    raw = np.empty((batch, task.train_x.shape[1]))
+    feats = np.empty((batch, extractor.shape[1]))
+    yb = np.empty(batch, dtype=task.train_y.dtype)
+    for idx in batches:
+        # the indices are in range by construction; "clip" skips the
+        # bounds check's extra buffer
+        task.train_x.take(idx, axis=0, out=raw, mode="clip")
+        task.train_y.take(idx, out=yb, mode="clip")
+        child_grads(mlp, np.matmul(raw, extractor, out=feats), yb, mlp_grads, bufs)
+        if trainable:
+            np.matmul(raw.T, bufs.d_input, out=grad_views[0])
+        adagrad_l2_update(params.flat, grad.flat, acc_state, lr, l2)
 
     val_logits = child_forward_logits(mlp, task.val_x @ extractor)
     pred = np.argmax(val_logits, axis=1)

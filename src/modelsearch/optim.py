@@ -1,8 +1,13 @@
-"""Parameter-update rules, all pure: they return new arrays and new state.
+"""Parameter-update rules.
 
 Adam-style adaptive updates drive the controller, Adagrad with an L2 term
 folded into the gradient drives child networks, and Polyak averaging blends
 the actor/critic controller pair at sync boundaries.
+
+Adam and Adagrad update the optimizer state they are given in place (Adam
+its moments, Adagrad its accumulator and the child parameters) and return
+it. Adam returns new controller weights, because controller snapshots are
+immutable. Polyak averaging and clipping return new arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +39,11 @@ def adaptive_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
-    """Bias-corrected Adam step; returns (new params, new state)."""
+    """Bias-corrected Adam step; returns (new params, ``state``).
+
+    ``state.m``, ``state.v`` and ``state.step`` are updated in place, and
+    only after the gradient has passed its checks.
+    """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.m.shape:
@@ -44,12 +53,24 @@ def adaptive_update(
     if not np.all(np.isfinite(grads)):
         raise NonFiniteGradient("gradient contains NaN or inf")
     t = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grads
-    v = beta2 * state.v + (1.0 - beta2) * grads**2
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new_params = params - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-    return new_params, AdamState(m=m, v=v, step=t)
+    # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, in the order the
+    # out-of-place expressions evaluate them
+    tmp = np.multiply(grads, 1.0 - beta1)
+    state.m *= beta1
+    state.m += tmp
+    np.square(grads, out=tmp)
+    tmp *= 1.0 - beta2
+    state.v *= beta2
+    state.v += tmp
+    state.step = t
+    # params - lr * m_hat / (sqrt(v_hat) + eps)
+    denom = np.divide(state.v, 1.0 - beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(state.m, 1.0 - beta1**t, out=tmp)
+    tmp *= learning_rate
+    tmp /= denom
+    return params - tmp, state
 
 
 def adagrad_l2_update(
@@ -60,12 +81,13 @@ def adagrad_l2_update(
     l2_weight: float,
     eps: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adagrad step with L2 regularization.
+    """Adagrad step with L2 regularization; returns (params, accumulator).
 
     The L2 term is folded into the gradient (g_reg = g + l2 * p), the usual
     weight-decay formulation; the regularized gradient is both accumulated
-    and applied. Every operation is elementwise, so one call on a flat
-    vector equals one call per array on its slices, bit for bit.
+    and applied. ``params`` and ``accumulator`` are updated in place. Every
+    operation is elementwise, so one call on a flat vector equals one call
+    per array on its slices, bit for bit.
     """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -75,10 +97,18 @@ def adagrad_l2_update(
         )
     if l2_weight < 0:
         raise ValueError("l2_weight must be non-negative")
-    g = grads + l2_weight * params
-    acc = accumulator + g**2
-    new_params = params - learning_rate * g / np.sqrt(acc + eps)
-    return new_params, acc
+    # g = grads + l2 * p, acc += g^2, p -= lr * g / sqrt(acc + eps), each
+    # step in the order the out-of-place expressions evaluate it
+    g = np.multiply(params, l2_weight)
+    g += grads
+    tmp = np.square(g)
+    accumulator += tmp
+    np.add(accumulator, eps, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    g *= learning_rate
+    g /= tmp
+    params -= g
+    return params, accumulator
 
 
 def polyak_average(weights_a: np.ndarray, weights_b: np.ndarray, keep: float) -> np.ndarray:

@@ -5,7 +5,8 @@ modules and classes that look them up. Installing and removing every one
 of those wrappers here makes a deleted or moved name fail in the test
 suite, not only in a traced benchmark run. A short traced search then
 checks the benchmark's tie-outs, which also read argument positions and
-call counts.
+call counts; a short traced child-network search checks them on the
+child-training path.
 """
 
 import sys
@@ -63,3 +64,39 @@ def test_traced_search_ties_out(tmp_path):
     metrics, problems = layers.layer_metrics(tracer, config, traced, traced.seconds)
     assert problems == []
     assert metrics["kernel.lstm_step.calls"][0] == 7 * (60 + 30)
+
+
+def test_traced_child_search_ties_out(tmp_path, monkeypatch):
+    workload = workloads.Workload(
+        "child-tie-out",
+        "configs/child-networks.yaml",
+        {"samples_per_iteration": 2, "total_iterations": 2},
+    )
+    config_path = workloads.write_config(workload, ROOT, tmp_path, 0)
+    config = modelsearch.config.load_experiment_config(config_path)
+    # the spy goes in before the tracer wraps the trainer, so it sees every
+    # evaluated config
+    steps = []
+    train = modelsearch.evaluators.train_child_network
+
+    def spy(config, task, seed):
+        steps.append(config.train_iterations)
+        return train(config, task, seed)
+
+    monkeypatch.setattr(modelsearch.evaluators, "train_child_network", spy)
+    out_dir = tmp_path / "traced"
+    tracer = tracing.Tracer()
+    argv = ["search", "--config", str(config_path), "--seed", "0", "--out", str(out_dir)]
+    with tracing.patched(tracer.wraps(modelsearch)):
+        start = perf_counter_ns()
+        code = modelsearch.cli.main(argv)
+        end = perf_counter_ns()
+    assert code == 0
+    with open(out_dir / "seed_0" / "events.csv") as f:
+        rows = sum(1 for _ in f) - 1
+    assert rows == len(steps) == 4
+    traced = run.Search(out_dir, start, end, completed=True, rows=rows)
+    metrics, problems = layers.layer_metrics(tracer, config, traced, traced.seconds)
+    assert problems == []
+    assert metrics["evaluators.calls"][0] == 4
+    assert metrics["optim.adagrad.calls"][0] == sum(steps)

@@ -1,3 +1,7 @@
+import json
+import struct
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -86,6 +90,90 @@ def test_garbage_file_raises_io_failure(tmp_path):
     path.write_bytes(b"definitely not a checkpoint")
     with pytest.raises(IoFailure):
         load_checkpoint(path, TINY)
+
+
+def _rewrite_meta(path, edit):
+    """Replace the JSON metadata block of a saved checkpoint by edit(bytes)."""
+    data = path.read_bytes()
+    at = TIMESTAMP_OFFSET + TIMESTAMP_SIZE
+    (n,) = struct.unpack_from("<I", data, at)
+    new = edit(data[at + 4 : at + 4 + n])
+    path.write_bytes(data[:at] + struct.pack("<I", len(new)) + new + data[at + 4 + n :])
+
+
+def _edit_json(change):
+    def edit(meta_b):
+        meta = json.loads(meta_b)
+        change(meta)
+        return json.dumps(meta).encode()
+
+    return edit
+
+
+BAD_META = {
+    "negative hidden_size": _edit_json(lambda m: m["dims"].update(hidden_size=-1)),
+    "unknown dims key": _edit_json(lambda m: m["dims"].update(depth=3)),
+    "dims not a mapping": _edit_json(lambda m: m.update(dims=[8, 4, 4, 2])),
+    "missing dims": _edit_json(lambda m: m.pop("dims")),
+    "missing registry": _edit_json(lambda m: m.pop("registry")),
+    "missing trainer_config": _edit_json(lambda m: m.pop("trainer_config")),
+    "bad trainer_config value": _edit_json(lambda m: m["trainer_config"].update(batch_size="x")),
+    "unknown trainer_config key": _edit_json(lambda m: m["trainer_config"].update(speed=1)),
+    "fractional n_tasks": _edit_json(lambda m: m.update(n_tasks=2.5)),
+    "string n_tasks": _edit_json(lambda m: m.update(n_tasks="2")),
+    "n_tasks unlike registry": _edit_json(lambda m: m.update(n_tasks=3)),
+    "bad baseline value": _edit_json(lambda m: m["baselines"]["0"].update(value="high")),
+    "registry not a list": _edit_json(lambda m: m.update(registry={"0": "alpha"})),
+    "meta a JSON list": lambda meta_b: b"[]",
+    "meta not JSON": lambda meta_b: b"{not json",
+    "meta not UTF-8": lambda meta_b: b"\xff\xfe{}",
+}
+
+
+def test_rewritten_meta_block_still_loads(tmp_path):
+    state, _ = make_state()
+    path = tmp_path / "ck.bin"
+    save_checkpoint(state, path)
+    _rewrite_meta(path, _edit_json(lambda m: None))
+    loaded = load_checkpoint(path, TINY)
+    assert np.array_equal(loaded.actor.flat, state.actor.flat)
+
+
+@pytest.mark.parametrize("edit", BAD_META.values(), ids=BAD_META.keys())
+def test_malformed_metadata_raises_io_failure(tmp_path, edit):
+    state, _ = make_state(iters=5)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(state, path)
+    _rewrite_meta(path, edit)
+    with pytest.raises(IoFailure, match="malformed metadata") as exc:
+        load_checkpoint(path, TINY)
+    assert str(path) in str(exc.value)
+
+
+def test_cli_transfer_from_malformed_checkpoint_exits_2(tmp_path, capsys):
+    from modelsearch.cli import main as cli_main
+
+    state, _ = make_state(iters=5)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(state, path)
+    _rewrite_meta(path, BAD_META["negative hidden_size"])
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(textwrap.dedent("""
+        name: moved
+        search_space:
+          - {name: a, choices: [0, 1]}
+          - {name: b, choices: [x, y, z]}
+        trainer: {total_iterations: 5}
+        tasks:
+          - name: n0
+            evaluator: {kind: planted, optimum: [0, 1]}
+        """))
+    out = tmp_path / "tr"
+    argv = ["transfer", "--config", str(cfg), "--checkpoint", str(path), "--out", str(out)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint at {path} has malformed metadata")
+    assert not list(tmp_path.rglob("seed_*"))
 
 
 def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from modelsearch.errors import (
     UnknownConfig,
 )
 from modelsearch.evaluators import (
+    ChildBuffers,
     EvaluatorBinding,
     OracleTable,
     binding_from_table,
@@ -102,6 +103,55 @@ def test_oracle_table_csv_incomplete(tmp_path):
     path.write_text("index,accuracy\n0,0.5\n")
     with pytest.raises(ValueError):
         OracleTable.from_csv(path, TINY)
+
+
+def _table_text(lines):
+    return "\n".join(lines) + "\n"
+
+
+GOOD_ROWS = ["index,accuracy"] + [f"{i},0.5" for i in range(6)]
+
+BAD_TABLES = {
+    "index past the space": (GOOD_ROWS + ["6,0.5"], "line 8: index 6 outside [0, 6)"),
+    "negative index": (GOOD_ROWS[:6] + ["-1,0.5"], "line 7: index -1 outside"),
+    "duplicate index": (GOOD_ROWS[:4] + ["1,0.7"] + GOOD_ROWS[4:], "line 5: index 1 appears twice"),
+    "fractional index": (GOOD_ROWS[:2] + ["1.5,0.5"], "line 3: invalid literal"),
+    "accuracy not a number": (GOOD_ROWS[:2] + ["1,high"], "line 3: could not convert"),
+    "accuracy NaN": (GOOD_ROWS[:2] + ["1,nan"], "line 3: accuracy nan outside"),
+    "accuracy above 1": (GOOD_ROWS[:2] + ["1,1.5"], "line 3: accuracy 1.5 outside"),
+    "short row": (GOOD_ROWS[:3] + ["2"], "line 4: "),
+    "no index column": (["rank,accuracy"] + GOOD_ROWS[1:], "line 1: no 'index' column"),
+    "no accuracy column": (["index,acc"] + GOOD_ROWS[1:], "line 1: no 'accuracy' column"),
+    "empty file": ([""], "line 1: no 'index' column"),
+}
+
+
+@pytest.mark.parametrize("lines, message", BAD_TABLES.values(), ids=BAD_TABLES.keys())
+def test_oracle_table_csv_rejects_bad_rows(tmp_path, lines, message):
+    path = tmp_path / "table.csv"
+    path.write_text(_table_text(lines))
+    with pytest.raises(ValueError) as exc:
+        OracleTable.from_csv(path, TINY)
+    assert str(exc.value).startswith(f"table at {path}, {message}")
+
+
+def test_cli_search_with_bad_table_row_is_config_error(tmp_path, capsys):
+    from modelsearch.cli import main as cli_main
+
+    (tmp_path / "t.csv").write_text(_table_text(GOOD_ROWS + ["6,0.5"]))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "name: d\n"
+        "search_space: [{name: a, choices: [0, 1]}, {name: b, choices: [x, y, z]}]\n"
+        "tasks:\n"
+        "  - {name: t, evaluator: {kind: table_csv, path: t.csv}}\n"
+    )
+    rc = cli_main(["search", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tasks[t].evaluator.path: table at ")
+    assert "line 8: index 6 outside [0, 6)" in err
+    assert not list(tmp_path.rglob("seed_*"))
 
 
 def test_brute_force_constant_table_breaks_ties_lexicographically():
@@ -294,17 +344,27 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-@pytest.mark.parametrize("dataset", [toy_separable, toy_overlap])
+# the embedding index selects extractor widths 24, 16 and 40; index 0
+# keeps the plain dataset name as its id
+DATASET_EMBEDDINGS = [
+    pytest.param(make, e, id=make.__name__ + (f"-emb{e}" if e else ""))
+    for e in (0, 1, 2)
+    for make in (toy_separable, toy_overlap)
+]
+
+
+@pytest.mark.parametrize("dataset, embedding_index", DATASET_EMBEDDINGS)
 @pytest.mark.parametrize("l2_index", [0, 1])
 @pytest.mark.parametrize("n_layers_index", [0, 1])
 @pytest.mark.parametrize("trainable_index", [0, 1])
 def test_flat_training_matches_per_array_loop_bitwise(
-    monkeypatch, dataset, l2_index, n_layers_index, trainable_index
+    monkeypatch, dataset, l2_index, n_layers_index, trainable_index, embedding_index
 ):
     from modelsearch.space import ModelConfig
 
     space = child_search_space()
-    items = space.decode([0, trainable_index, n_layers_index, 1, 1, 0, l2_index]).as_dict()
+    actions = [embedding_index, trainable_index, n_layers_index, 1, 1, 0, l2_index]
+    items = space.decode(actions).as_dict()
     items["train_iterations"] = 30
     cfg = ModelConfig(list(items.items()))
     task = dataset(7)
@@ -340,6 +400,23 @@ def test_flat_training_matches_per_array_loop_bitwise(
     assert acc == float(np.mean(pred == task.val_y))
 
 
+@pytest.mark.parametrize("n", [1200, 2**31 + 1])
+@pytest.mark.parametrize("batch", [100, 7])
+def test_one_index_draw_equals_per_step_draws(n, batch):
+    # training draws every step's batch indices in one call; this must
+    # leave the same values and the same generator state as one call per
+    # step. At n = 2**31 + 1 about half of all raw draws are rejected.
+    steps = 60
+    for seed in range(20):
+        one, per = np.random.default_rng(seed), np.random.default_rng(seed)
+        one.uniform(size=seed % 3)
+        per.uniform(size=seed % 3)
+        drawn = one.integers(0, n, size=(steps, batch))
+        stepwise = np.stack([per.integers(0, n, size=batch) for _ in range(steps)])
+        assert np.array_equal(drawn, stepwise)
+        assert one.bit_generator.state == per.bit_generator.state
+
+
 def test_frozen_extractor_is_left_untouched():
     space = child_search_space()
     task = toy_separable(7)
@@ -350,12 +427,53 @@ def test_frozen_extractor_is_left_untouched():
         assert np.array_equal(v, before[k])
 
 
+def _allocating_child_grads(params, x, y):
+    """Reference: the backward pass with fresh arrays for every result."""
+    n_pairs = len(params) // 2
+    acts = [x]
+    h = x
+    for i in range(n_pairs):
+        z = h @ params[2 * i] + params[2 * i + 1]
+        h = np.maximum(z, 0.0) if i + 1 < n_pairs else z
+        acts.append(h)
+    d = evaluators.softmax(acts[-1])
+    d[np.arange(x.shape[0]), y] -= 1.0
+    d /= x.shape[0]
+    grads = [None] * len(params)
+    for i in reversed(range(n_pairs)):
+        grads[2 * i] = acts[i].T @ d
+        grads[2 * i + 1] = d.sum(axis=0)
+        if i > 0:
+            d = (d @ params[2 * i].T) * (acts[i] > 0.0)
+    return acts[-1], grads, d @ params[0].T
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_buffered_child_grads_match_allocating_reference_bitwise(n_layers):
+    rng = np.random.default_rng(n_layers)
+    params = child_init(24, n_layers, 32, 2, rng)
+    grads = [np.empty_like(p) for p in params]
+    bufs = ChildBuffers(params, 100, input_grad=True)
+    for _ in range(5):  # the buffers are reused from batch to batch
+        x = rng.normal(0, 1, (100, 24))
+        y = rng.integers(0, 2, 100)
+        want_logits, want_grads, want_d_input = _allocating_child_grads(params, x, y)
+        logits = child_grads(params, x, y, grads, bufs)
+        assert np.array_equal(_bits(logits), _bits(want_logits))
+        for g, want in zip(grads, want_grads):
+            assert np.array_equal(_bits(g), _bits(want))
+        assert np.array_equal(_bits(bufs.d_input), _bits(want_d_input))
+
+
 def test_loss_and_grads_returns_child_grads_unchanged():
     rng = np.random.default_rng(4)
     params = child_init(6, 2, 5, 3, rng)
     x = rng.normal(0, 1, (8, 6))
     y = rng.integers(0, 3, 8)
-    logits, grads, d_input = child_grads(params, x, y, input_grad=True)
+    grads = [np.empty_like(p) for p in params]
+    bufs = ChildBuffers(params, 8, input_grad=True)
+    logits = child_grads(params, x, y, grads, bufs)
+    d_input = bufs.d_input
     loss, grads2, d_input2 = child_loss_and_grads(params, x, y, input_grad=True)
     assert np.array_equal(logits, child_forward_logits(params, x))
     assert len(grads) == len(grads2) == len(params)

@@ -36,6 +36,55 @@ def test_adam_rejects_nan_and_shape_mismatch():
         adaptive_update(np.zeros(2), np.zeros(3), AdamState.zeros(2), 0.01)
 
 
+def test_adam_rejected_gradient_leaves_state_untouched():
+    rng = np.random.default_rng(2)
+    state = AdamState.zeros(4)
+    p, state = adaptive_update(rng.normal(0, 1, 4), rng.normal(0, 1, 4), state, 0.01)
+    m, v = state.m.copy(), state.v.copy()
+    for bad in (np.nan, np.inf):
+        g = rng.normal(0, 1, 4)
+        g[2] = bad
+        with pytest.raises(NonFiniteGradient):
+            adaptive_update(p, g, state, 0.01)
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+    assert state.step == 1
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_in_place_updates_match_out_of_place_formulas_bitwise():
+    # the out-of-place expressions below are the reference the in-place
+    # updates must reproduce bit for bit
+    rng = np.random.default_rng(3)
+    n, lr, l2 = 257, 0.05, 0.001
+    p_adam, p_ada = rng.normal(0, 1, n), rng.normal(0, 1, n)
+    ref_adam, ref_ada = p_adam.copy(), p_ada.copy()
+    state = AdamState.zeros(n)
+    m, v, acc, ref_acc = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    for t in range(1, 31):
+        g = rng.normal(0, 10, n)
+        m_buf, v_buf = state.m, state.v
+        p_adam, state = adaptive_update(p_adam, g, state, lr)
+        assert state.m is m_buf and state.v is v_buf
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g**2
+        m_hat, v_hat = m / (1.0 - 0.9**t), v / (1.0 - 0.999**t)
+        ref_adam = ref_adam - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert np.array_equal(_bits(p_adam), _bits(ref_adam))
+        assert np.array_equal(_bits(state.m), _bits(m))
+        assert np.array_equal(_bits(state.v), _bits(v))
+
+        out, out_acc = adagrad_l2_update(p_ada, g, acc, lr, l2)
+        assert out is p_ada and out_acc is acc
+        g_reg = g + l2 * ref_ada
+        ref_acc = ref_acc + g_reg**2
+        ref_ada = ref_ada - lr * g_reg / np.sqrt(ref_acc + 1e-10)
+        assert np.array_equal(_bits(p_ada), _bits(ref_ada))
+        assert np.array_equal(_bits(acc), _bits(ref_acc))
+
+
 def test_adam_stays_finite():
     rng = np.random.default_rng(0)
     p = rng.normal(0, 1, 10)
