@@ -55,7 +55,6 @@ from .space import (
 from .trainer import (
     BaselineTable,
     ReplayBank,
-    RewardRecord,
     TrainerConfig,
     TrainerState,
     compute_advantage,

@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 import time
@@ -110,17 +111,21 @@ def _write_array(f, name: str, arr: np.ndarray):
 def _read_exact(f, n: int) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
-        raise IoFailure("checkpoint file truncated")
+        raise ValueError("file truncated")
     return buf
 
 
 def _read_array(f) -> tuple[str, np.ndarray]:
+    """One named array; a header the file cannot back raises ValueError."""
     (name_len,) = struct.unpack("<H", _read_exact(f, 2))
     name = _read_exact(f, name_len).decode()
     (ndim,) = struct.unpack("<B", _read_exact(f, 1))
     shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(ndim))
-    size = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read_exact(f, size * 8), dtype="<f8").reshape(shape)
+    n_bytes = math.prod(shape) * 8
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n_bytes > left:
+        raise ValueError(f"array {name!r} of shape {shape} needs {n_bytes} bytes, {left} left")
+    data = np.frombuffer(_read_exact(f, n_bytes), dtype="<f8").reshape(shape)
     return name, data.astype(np.float64)
 
 
@@ -193,8 +198,8 @@ def save_checkpoint(state, path, meta_extra: dict | None = None):
 def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
     """Read a checkpoint back; verifies version, space fingerprint and metadata.
 
-    A truncated or malformed file raises IoFailure; for malformed metadata
-    the message names the file.
+    A truncated or malformed file raises IoFailure and an unknown format
+    version VersionMismatch; each message names the file.
     """
     try:
         with open(path, "rb") as f:
@@ -203,7 +208,9 @@ def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
                 raise IoFailure(f"{path} is not a checkpoint (bad magic)")
             (version,) = struct.unpack("<I", _read_exact(f, 4))
             if version != FORMAT_VERSION:
-                raise VersionMismatch(f"unsupported checkpoint version {version}")
+                raise VersionMismatch(
+                    f"checkpoint at {path} has unsupported format version {version}"
+                )
             fingerprint = _read_exact(f, 32)
             struct.unpack("<d", _read_exact(f, 8))  # timestamp, unused
             (meta_len,) = struct.unpack("<I", _read_exact(f, 4))
@@ -212,6 +219,8 @@ def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
             arrays = dict(_read_array(f) for _ in range(n_arrays))
     except OSError as e:
         raise IoFailure(f"cannot read checkpoint at {path}: {e}") from e
+    except ValueError as e:
+        raise IoFailure(f"checkpoint at {path} is truncated or malformed: {e}") from e
 
     if fingerprint != space_fingerprint(space):
         raise FingerprintMismatch(
@@ -239,10 +248,10 @@ def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
         for name in params.layout.names():
             key = prefix + name
             if key not in arrays:
-                raise IoFailure(f"checkpoint misses array {key}")
+                raise IoFailure(f"checkpoint at {path} misses array {key}")
             view = params.get(name)
             if arrays[key].shape != view.shape:
-                raise IoFailure(f"array {key} has shape {arrays[key].shape}")
+                raise IoFailure(f"checkpoint at {path}: array {key} has shape {arrays[key].shape}")
             view[...] = arrays[key]
         return params
 
@@ -263,7 +272,6 @@ def transfer_init(
     new_tasks,
     seed_or_rng,
     config: TrainerConfig | None = None,
-    space: SearchSpace | None = None,
 ) -> TrainerState:
     """Trainer state for new tasks on top of a pre-trained controller.
 
@@ -272,13 +280,10 @@ def transfer_init(
     initialized embedding row; the replay bank starts empty; baselines for
     the new tasks are uninitialized. Pre-training tasks stay registered
     but inactive, so task sampling only visits the new tasks. Optimizer
-    moments are reset (fresh task distribution). A given ``space`` must
-    match the checkpoint's fingerprint. Nothing in ``checkpoint`` is
-    modified, so one loaded checkpoint can seed many transfers.
+    moments are reset (fresh task distribution). Nothing in ``checkpoint``
+    is modified, so one loaded checkpoint can seed many transfers.
     """
     rng = np.random.default_rng(seed_or_rng)
-    if space is not None and space_fingerprint(space) != checkpoint.fingerprint:
-        raise FingerprintMismatch("transfer target space differs from checkpoint")
     cfg = config if config is not None else checkpoint.config
 
     registry = TaskRegistry(

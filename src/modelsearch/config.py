@@ -274,7 +274,7 @@ def build_evaluator(space: SearchSpace, task: TaskSpec, base_dir=Path(".")) -> E
             toy = toy_overlap() if seed is None else toy_overlap(int(seed))
         else:
             raise ConfigError(f"{where}.dataset must be 'separable' or 'overlap'")
-        return binding_from_child_task(task.name, toy, space)
+        return binding_from_child_task(task.name, toy)
     raise ConfigError(f"{where}.kind: unknown evaluator kind {kind!r}")
 
 

@@ -100,7 +100,7 @@ class BadWindow(ModelSearchError):
 
 
 class MissingLog(ModelSearchError):
-    """A run directory does not contain the expected event log."""
+    """A run directory's event log is missing or malformed."""
 
 
 class ConfigError(ModelSearchError):

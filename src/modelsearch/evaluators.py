@@ -47,7 +47,6 @@ class EvaluatorBinding:
     """A task's reward source: (ModelConfig, seed) -> reward."""
 
     name: str
-    space: SearchSpace
     fn: Callable
     table: "OracleTable | None" = None
 
@@ -152,7 +151,6 @@ def tabular_evaluate(table: OracleTable, config: ModelConfig, seed: int) -> floa
 def binding_from_table(name: str, table: OracleTable) -> EvaluatorBinding:
     return EvaluatorBinding(
         name=name,
-        space=table.space,
         fn=lambda config, seed: tabular_evaluate(table, config, seed),
         table=table,
     )
@@ -280,14 +278,6 @@ class ToyTask:
             val_y=val_y,
             extractors=extractors,
         )
-
-
-def child_parameter_count(d_in: int, n_layers: int, n_nodes: int, n_classes: int) -> int:
-    """Weights + biases of the ReLU stack and the softmax head."""
-    count = d_in * n_nodes + n_nodes
-    count += (n_layers - 1) * (n_nodes * n_nodes + n_nodes)
-    count += n_nodes * n_classes + n_classes
-    return count
 
 
 def child_init(d_in: int, n_layers: int, n_nodes: int, n_classes: int, rng) -> list:
@@ -445,10 +435,9 @@ def train_child_network(config: ModelConfig, task: ToyTask, seed: int) -> float:
     return float(np.mean(pred == task.val_y))
 
 
-def binding_from_child_task(name: str, task: ToyTask, space: SearchSpace) -> EvaluatorBinding:
+def binding_from_child_task(name: str, task: ToyTask) -> EvaluatorBinding:
     return EvaluatorBinding(
         name=name,
-        space=space,
         fn=lambda config, seed: reward_from_accuracy(
             train_child_network(config, task, seed)
         ),

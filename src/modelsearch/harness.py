@@ -66,10 +66,15 @@ class _EventWriter:
 
 
 def _write_best_models(state: TrainerState, path: Path):
+    """Per task, the first event with the highest reward."""
+    best: dict[str, Event] = {}
+    for e in state.events:
+        if e.task_name not in best or e.reward > best[e.task_name].reward:
+            best[e.task_name] = e
     payload = {}
-    for task_id, event in sorted(state.best.items()):
+    for name, event in best.items():
         cfg = state.actor.space.decode(event.actions)
-        payload[event.task_name] = {
+        payload[name] = {
             "actions": list(event.actions),
             "config": {k: v for k, v in cfg.items},
             "reward": event.reward,
@@ -235,12 +240,25 @@ class ReportRow:
 
 
 def read_event_log(path) -> dict:
-    """Parse one event log into {task: (iterations, rewards)} in file order."""
+    """Parse one event log into {task: (iterations, rewards)} in file order.
+
+    A missing column or a value that does not parse raises MissingLog
+    naming the file and the line.
+    """
     with open(path, newline="") as f:
-        return _group_rewards(
-            (row["task"], int(row["iteration"]), float(row["reward"]))
-            for row in csv.DictReader(f)
-        )
+        reader = csv.DictReader(f)
+        try:
+            for column in ("iteration", "task", "reward"):
+                if column not in (reader.fieldnames or ()):
+                    raise ValueError(f"no {column!r} column")
+            triples = [
+                (row["task"], int(row["iteration"]), float(row["reward"])) for row in reader
+            ]
+        except (csv.Error, TypeError, ValueError) as e:
+            raise MissingLog(
+                f"event log {path} is malformed at line {max(reader.line_num, 1)}: {e}"
+            ) from e
+    return _group_rewards(triples)
 
 
 def _auc(iterations: np.ndarray, values: np.ndarray) -> float:

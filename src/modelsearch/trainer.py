@@ -1,12 +1,14 @@
 """Multitask search training loop.
 
 One iteration: pick a task uniformly at random, let the actor controller
-sample model configurations for it, evaluate them to get rewards, update
-the per-task reward baseline, push the records into a replay bank, then
-give the critic controller one clipped off-policy policy-gradient step on
-a replay batch. Every ``steps_per_sync`` critic steps the actor is pulled
-toward the critic by Polyak averaging, keeping a slow-moving behavior
-policy while the critic trains off-policy.
+sample model configurations for it, evaluate them to get rewards and
+update the per-task reward baseline. Each kept sample becomes one
+``Event``: the same object is appended to the event log, pushed into the
+replay bank and handed to the ``on_event`` callback. Then the critic
+controller takes one clipped off-policy policy-gradient step on a replay
+batch. Every ``steps_per_sync`` critic steps the actor is pulled toward
+the critic by Polyak averaging, keeping a slow-moving behavior policy
+while the critic trains off-policy.
 """
 
 from __future__ import annotations
@@ -88,35 +90,32 @@ class TrainerConfig:
 
 
 @dataclass
-class RewardRecord:
-    """One evaluated model: the replay bank's unit of storage."""
+class Event:
+    """One evaluated sample: a row of the event log and a replay-bank entry."""
 
+    iteration: int
     task_id: int
+    task_name: str
+    reward: float
+    baseline: float
+    advantage_norm: float
     actions: tuple[int, ...]
     behavior_log_probs: np.ndarray
-    reward: float
-    iteration: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.reward):
-            raise ValueError("reward must be finite")
-        if np.any(np.asarray(self.behavior_log_probs) > 1e-12):
-            raise ValueError("log-probs must be <= 0")
 
 
 class ReplayBank:
-    """Bounded FIFO of RewardRecord with uniform sampling (with replacement)."""
+    """Bounded FIFO of Events with uniform sampling (with replacement)."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: deque[RewardRecord] = deque(maxlen=capacity)
+        self._items: deque[Event] = deque(maxlen=capacity)
 
-    def push(self, record: RewardRecord):
-        self._items.append(record)
+    def push(self, event: Event):
+        self._items.append(event)
 
-    def sample(self, batch_size: int, rng) -> list[RewardRecord]:
+    def sample(self, batch_size: int, rng) -> list[Event]:
         if len(self._items) == 0:
             raise EmptyBank("replay bank is empty")
         idx = rng.integers(0, len(self._items), size=batch_size)
@@ -129,12 +128,6 @@ class ReplayBank:
         return iter(self._items)
 
 
-@dataclass
-class _BaselineEntry:
-    value: float = 0.0
-    initialized: bool = False
-
-
 class BaselineTable:
     """Per-task exponential moving average of rewards, one decay for all."""
 
@@ -142,61 +135,56 @@ class BaselineTable:
         if not 0.0 < decay < 1.0:
             raise ValueError("decay must lie in (0, 1)")
         self.decay = decay
-        self._entries: dict[int, _BaselineEntry] = {}
-
-    def ensure_task(self, task_id: int):
-        if task_id not in self._entries:
-            self._entries[task_id] = _BaselineEntry()
+        self._values: dict[int, float] = {}
 
     def update(self, task_id: int, reward: float) -> "BaselineTable":
         """First reward initializes b(t); afterwards b <- d*b + (1-d)*R."""
         if not np.isfinite(reward):
             raise ValueError("reward must be finite")
-        self.ensure_task(task_id)
-        e = self._entries[task_id]
-        if not e.initialized:
-            e.value = float(reward)
-            e.initialized = True
+        b = self._values.get(task_id)
+        if b is None:
+            self._values[task_id] = float(reward)
         else:
-            e.value = self.decay * e.value + (1.0 - self.decay) * float(reward)
+            self._values[task_id] = self.decay * b + (1.0 - self.decay) * float(reward)
         return self
 
     def initialized(self, task_id: int) -> bool:
-        e = self._entries.get(task_id)
-        return e is not None and e.initialized
+        return task_id in self._values
 
     def value(self, task_id: int) -> float:
-        e = self._entries.get(task_id)
-        if e is None or not e.initialized:
+        if task_id not in self._values:
             raise BaselineUninitialized(f"no reward recorded yet for task {task_id}")
-        return e.value
+        return self._values[task_id]
 
     def as_dict(self) -> dict:
-        # "decay" is written per entry to keep the version-1 checkpoint format
+        # "decay" and "initialized" are written per entry to keep the
+        # version-1 checkpoint format
         return {
-            str(tid): {"value": e.value, "decay": self.decay, "initialized": e.initialized}
-            for tid, e in sorted(self._entries.items())
+            str(tid): {"value": v, "decay": self.decay, "initialized": True}
+            for tid, v in sorted(self._values.items())
         }
 
     @classmethod
     def from_dict(cls, d: dict, decay: float = 0.95) -> "BaselineTable":
-        """Entries as written by as_dict; a stored per-entry decay is ignored."""
+        """Entries as written by as_dict.
+
+        A stored per-entry decay is ignored; an entry stored as not
+        initialized is skipped.
+        """
         t = cls(decay)
         for tid, e in d.items():
-            t._entries[int(tid)] = _BaselineEntry(
-                value=float(e["value"]), initialized=bool(e["initialized"])
-            )
+            if e["initialized"]:
+                t._values[int(tid)] = float(e["value"])
         return t
 
 
-def compute_advantage(reward: float, baseline: float, floor: float) -> tuple[float, float]:
-    """Advantage and baseline-normalized advantage of one reward.
+def compute_advantage(reward, baseline, floor):
+    """Baseline-normalized advantage (R - b) / max(b, floor), elementwise.
 
-    A = R - b;  A' = A / max(b, floor). The floor only guards division by
-    near-zero baselines and never binds for well-scaled rewards.
+    The floor only guards division by near-zero baselines and never binds
+    for well-scaled rewards.
     """
-    a = float(reward) - float(baseline)
-    return a, a / max(float(baseline), float(floor))
+    return (reward - baseline) / np.maximum(baseline, floor)
 
 
 def ppo_clipped_loss(
@@ -235,19 +223,6 @@ def ppo_clipped_loss(
 
 
 @dataclass
-class Event:
-    """One evaluated model, as recorded in the event log."""
-
-    iteration: int
-    task_id: int
-    task_name: str
-    reward: float
-    baseline: float
-    advantage_norm: float
-    actions: tuple[int, ...]
-
-
-@dataclass
 class TrainerState:
     """Everything a search owns; a single logical thread mutates it.
 
@@ -265,7 +240,6 @@ class TrainerState:
     iteration: int = 0
     critic_steps: int = 0
     events: list = field(default_factory=list)
-    best: dict = field(default_factory=dict)  # task_id -> Event
 
 
 def build_state(
@@ -313,16 +287,13 @@ def _critic_step(state: TrainerState, rng) -> float | None:
     if len(state.replay) == 0:
         return None
     batch = state.replay.sample(cfg.batch_size, rng)
-    task_ids = np.array([r.task_id for r in batch], dtype=np.int64)
-    actions = np.array([r.actions for r in batch], dtype=np.int64)
-    old_lp = np.array([r.behavior_log_probs for r in batch])
-    adv = np.array(
-        [
-            compute_advantage(
-                r.reward, state.baselines.value(r.task_id), cfg.baseline_floor
-            )[1]
-            for r in batch
-        ]
+    task_ids = np.array([e.task_id for e in batch], dtype=np.int64)
+    actions = np.array([e.actions for e in batch], dtype=np.int64)
+    old_lp = np.array([e.behavior_log_probs for e in batch])
+    adv = compute_advantage(
+        np.array([e.reward for e in batch]),
+        np.array([state.baselines.value(e.task_id) for e in batch]),
+        cfg.baseline_floor,
     )
     fwd = teacher_forced(state.critic, task_ids, actions)
     loss, d_lp = ppo_clipped_loss(fwd.log_probs, old_lp, adv, cfg.clip_epsilon)
@@ -342,7 +313,7 @@ def _critic_step(state: TrainerState, rng) -> float | None:
 
 
 def train_iteration(state: TrainerState, rng, on_event: Callable | None = None):
-    """One controller training iteration; appends Events to the state."""
+    """One controller training iteration; records one Event per kept sample."""
     cfg = state.config
     task_id = draw_task(state.registry, rng)
     evaluator = state.evaluators[task_id]
@@ -368,29 +339,18 @@ def train_iteration(state: TrainerState, rng, on_event: Callable | None = None):
             continue
         state.baselines.update(task_id, reward)
         baseline = state.baselines.value(task_id)
-        _, a_norm = compute_advantage(reward, baseline, cfg.baseline_floor)
-        state.replay.push(
-            RewardRecord(
-                task_id=task_id,
-                actions=model.actions,
-                behavior_log_probs=model.behavior_log_probs,
-                reward=reward,
-                iteration=state.iteration,
-            )
-        )
         event = Event(
             iteration=state.iteration,
             task_id=task_id,
             task_name=task_name,
             reward=reward,
             baseline=baseline,
-            advantage_norm=a_norm,
+            advantage_norm=float(compute_advantage(reward, baseline, cfg.baseline_floor)),
             actions=model.actions,
+            behavior_log_probs=model.behavior_log_probs,
         )
         state.events.append(event)
-        prev_best = state.best.get(task_id)
-        if prev_best is None or reward > prev_best.reward:
-            state.best[task_id] = event
+        state.replay.push(event)
         if on_event is not None:
             on_event(event)
 
@@ -404,7 +364,7 @@ def run_state(
 ) -> TrainerState:
     """Run the configured number of iterations on an existing state.
 
-    Returns the same state, now holding the run's events and best models.
+    Returns the same state, now holding the run's events.
     """
     rng = np.random.default_rng(seed_or_rng)
     for _ in range(state.config.total_iterations):

@@ -371,7 +371,7 @@ def test_criterion_7_end_to_end_child_training():
                 strong += 1
         assert strong >= 1, "no config reaches 0.95 on the separable task"
 
-        binding = binding_from_child_task("separable", task, space)
+        binding = binding_from_child_task("separable", task)
         wins = 0
         for seed in SEEDS:
             cfg = TrainerConfig(total_iterations=CHILD_EVALUATIONS)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from modelsearch.checkpoint import (
+    MAGIC,
     TIMESTAMP_OFFSET,
     TIMESTAMP_SIZE,
     load_checkpoint,
@@ -20,6 +21,7 @@ from modelsearch.errors import (
     FingerprintMismatch,
     IoFailure,
     UnknownTask,
+    VersionMismatch,
 )
 from modelsearch.evaluators import binding_from_table, planted_table
 from modelsearch.space import ParamSpec, SearchSpace
@@ -176,6 +178,101 @@ def test_cli_transfer_from_malformed_checkpoint_exits_2(tmp_path, capsys):
     assert not list(tmp_path.rglob("seed_*"))
 
 
+def _cli_transfer(tmp_path, path) -> int:
+    """``modelsearch transfer`` of a one-task config on TINY from ``path``."""
+    from modelsearch.cli import main as cli_main
+
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(textwrap.dedent("""
+        name: moved
+        search_space:
+          - {name: a, choices: [0, 1]}
+          - {name: b, choices: [x, y, z]}
+        trainer: {total_iterations: 5}
+        tasks:
+          - name: n0
+            evaluator: {kind: planted, optimum: [0, 1]}
+        """))
+    out = tmp_path / "tr"
+    return cli_main(["transfer", "--config", str(cfg), "--checkpoint", str(path), "--out", str(out)])
+
+
+def _first_array_at(data: bytes) -> int:
+    """Offset of the first array header (its name length) in a checkpoint."""
+    at = TIMESTAMP_OFFSET + TIMESTAMP_SIZE
+    (n,) = struct.unpack_from("<I", data, at)
+    return at + 4 + n + 4
+
+
+def _name_byte(data, at):
+    data[at + 2] = 0xFF
+
+
+def _ndim(data, at):
+    (name_len,) = struct.unpack_from("<H", data, at)
+    data[at + 2 + name_len] = 200
+
+
+def _first_dim(data, at):
+    (name_len,) = struct.unpack_from("<H", data, at)
+    struct.pack_into("<I", data, at + 2 + name_len + 1, 2**31 - 1)
+
+
+BAD_ARRAY_HEADER = {"name byte 0xff": _name_byte, "ndim 200": _ndim, "first dim 2**31-1": _first_dim}
+
+
+def _corrupt_first_array(path, corrupt):
+    data = bytearray(path.read_bytes())
+    corrupt(data, _first_array_at(data))
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("corrupt", BAD_ARRAY_HEADER.values(), ids=BAD_ARRAY_HEADER.keys())
+def test_bad_array_header_raises_io_failure(tmp_path, corrupt):
+    state, _ = make_state(iters=5)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(state, path)
+    _corrupt_first_array(path, corrupt)
+    with pytest.raises(IoFailure, match="truncated or malformed") as exc:
+        load_checkpoint(path, TINY)
+    assert str(path) in str(exc.value)
+
+
+def _version_2(path):
+    """Rewrite a saved checkpoint's format version to 2."""
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, len(MAGIC), 2)
+    path.write_bytes(bytes(data))
+
+
+def test_unknown_format_version_raises_version_mismatch(tmp_path):
+    state, _ = make_state(iters=5)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(state, path)
+    _version_2(path)
+    with pytest.raises(VersionMismatch, match="version 2") as exc:
+        load_checkpoint(path, TINY)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda path: _corrupt_first_array(path, _first_dim), "is truncated or malformed"),
+        (_version_2, "has unsupported format version 2"),
+    ],
+    ids=["first dim 2**31-1", "version 2"],
+)
+def test_cli_transfer_from_bad_header_exits_2(tmp_path, capsys, corrupt, message):
+    state, _ = make_state(iters=5)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(state, path)
+    corrupt(path)
+    assert _cli_transfer(tmp_path, path) == 2
+    assert capsys.readouterr().err.startswith(f"error: checkpoint at {path} {message}")
+    assert not list(tmp_path.rglob("seed_*"))
+
+
 def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     from modelsearch import checkpoint
 
@@ -258,13 +355,6 @@ def test_transfer_registers_new_tasks_active_old_inactive(tmp_path):
     assert np.array_equal(
         new_state.actor.task_embeddings()[2:], new_state.critic.task_embeddings()[2:]
     )
-
-
-def test_transfer_rejects_wrong_space(tmp_path):
-    _, ckpt, new_tasks = transfer_setup(tmp_path)
-    other = SearchSpace([ParamSpec("a", (0, 1, 2)), ParamSpec("b", ("x", "y", "z"))])
-    with pytest.raises(FingerprintMismatch):
-        transfer_init(ckpt, new_tasks, np.random.default_rng(0), space=other)
 
 
 def test_transferred_state_trains(tmp_path):

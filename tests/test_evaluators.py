@@ -18,7 +18,6 @@ from modelsearch.evaluators import (
     child_grads,
     child_init,
     child_loss_and_grads,
-    child_parameter_count,
     planted_table,
     reward_from_accuracy,
     tabular_evaluate,
@@ -182,19 +181,12 @@ def test_brute_force_two_task_fixture_has_distinct_optima():
 
 
 def test_brute_force_refuses_non_tabular():
-    binding = EvaluatorBinding("child", TINY, lambda c, s: 0.5)
+    binding = EvaluatorBinding("child", lambda c, s: 0.5)
     with pytest.raises(NotBruteForceable):
         brute_force_optimum(binding)
 
 
 # --- child networks ---------------------------------------------------------
-
-
-def test_child_parameter_count_matches_arrays():
-    rng = np.random.default_rng(0)
-    params = child_init(12, 3, 7, 2, rng)
-    total = sum(p.size for p in params)
-    assert total == child_parameter_count(12, 3, 7, 2)
 
 
 def test_child_gradients_match_finite_differences():

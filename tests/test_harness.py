@@ -1,9 +1,11 @@
 import csv
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
+from modelsearch.checkpoint import TIMESTAMP_OFFSET, TIMESTAMP_SIZE
 from modelsearch.cli import main as cli_main
 from modelsearch.errors import MissingLog
 from modelsearch.harness import read_event_log, report_compare, run_experiment
@@ -72,6 +74,14 @@ def test_event_log_schema_and_heatmap_schema(tmp_path):
     assert corr_lines[0] == "task_a,task_b,pearson"
 
 
+def _masked(path):
+    """File bytes, with a checkpoint's timestamp field zeroed."""
+    data = bytearray(path.read_bytes())
+    if path.name == "checkpoint.bin":
+        data[TIMESTAMP_OFFSET : TIMESTAMP_OFFSET + TIMESTAMP_SIZE] = bytes(TIMESTAMP_SIZE)
+    return bytes(data)
+
+
 def test_reruns_reproduce_event_logs_bitwise(tmp_path):
     cfg_path = write_config(tmp_path)
     out1 = run_experiment(cfg_path, mode="search", seeds=[0], out_dir=tmp_path / "r1")
@@ -79,6 +89,12 @@ def test_reruns_reproduce_event_logs_bitwise(tmp_path):
     b1 = (out1 / "seed_0" / "events.csv").read_bytes()
     b2 = (out2 / "seed_0" / "events.csv").read_bytes()
     assert b1 == b2
+    # every artifact, best models and aggregates included
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert (out2 / "manifest.json").read_text() == (out1 / "manifest.json").read_text()
+    assert "checkpoint.bin" in {Path(rel).name for rel in manifest["artifacts"]}
+    for rel in manifest["artifacts"]:
+        assert _masked(out1 / rel) == _masked(out2 / rel), rel
 
 
 def test_best_models_reports_argmax(tmp_path):
@@ -89,6 +105,28 @@ def test_best_models_reports_argmax(tmp_path):
     for task, payload in best.items():
         _, rewards = per_task[task]
         assert payload["reward"] == pytest.approx(rewards.max())
+
+
+def _constant_evaluators(config):
+    from modelsearch.evaluators import EvaluatorBinding
+
+    return [(t.name, EvaluatorBinding(t.name, lambda c, s: 0.5)) for t in config.tasks]
+
+
+def test_best_models_take_the_first_event_on_ties(tmp_path, monkeypatch):
+    from modelsearch import harness
+
+    monkeypatch.setattr(harness, "build_evaluators", _constant_evaluators)
+    out = run_experiment(write_config(tmp_path), mode="search", seeds=[0])
+    best = json.loads((out / "seed_0" / "best_models.json").read_text())
+    with open(out / "seed_0" / "events.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    first = {}
+    for row in rows:
+        first.setdefault(row["task"], int(row["iteration"]))
+    assert rows[0]["iteration"] == "0"
+    assert {t: b["iteration"] for t, b in best.items()} == first
+    assert all(b["reward"] == 0.5 for b in best.values())
 
 
 def test_mode_conflict_is_config_error(tmp_path):
@@ -147,6 +185,25 @@ def test_report_missing_log(tmp_path):
     empty.mkdir()
     with pytest.raises(MissingLog):
         report_compare([empty, empty], threshold=0.5)
+
+
+GOOD_LOG = "iteration,task,reward,baseline,advantage_norm\n0,t0,0.5,0.5,0.0\n1,t0,0.6,0.5,0.2\n"
+BAD_LOGS = {
+    "missing reward column": (GOOD_LOG.replace("reward,baseline", "baseline"), 1),
+    "non-numeric reward": (GOOD_LOG.replace("1,t0,0.6", "1,t0,abc"), 3),
+    "non-integer iteration": (GOOD_LOG.replace("1,t0,0.6", "1.5,t0,0.6"), 3),
+}
+
+
+@pytest.mark.parametrize("text,line", BAD_LOGS.values(), ids=BAD_LOGS.keys())
+def test_malformed_event_log_raises_missing_log(tmp_path, text, line):
+    path = tmp_path / "events.csv"
+    path.write_text(GOOD_LOG)
+    assert read_event_log(path)["t0"][1].tolist() == [0.5, 0.6]
+    path.write_text(text)
+    with pytest.raises(MissingLog, match=f"line {line}:") as exc:
+        read_event_log(path)
+    assert str(path) in str(exc.value)
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -263,6 +320,18 @@ def test_cli_missing_run_dir_is_runtime_error(tmp_path):
     assert rc == 2
 
 
+def test_cli_report_on_malformed_event_log_exits_2(tmp_path, capsys):
+    runs = [tmp_path / "r1", tmp_path / "r2"]
+    for run, text in zip(runs, (GOOD_LOG, BAD_LOGS["non-numeric reward"][0])):
+        (run / "seed_0").mkdir(parents=True)
+        (run / "seed_0" / "events.csv").write_text(text)
+    rc = cli_main(["report", *map(str, runs), "--threshold", "0.5", "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    bad = runs[1] / "seed_0" / "events.csv"
+    assert capsys.readouterr().err.startswith(f"error: event log {bad} is malformed at line 3")
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_cli_search_and_report_round_trip_task_names_with_csv_syntax(tmp_path):
     odd = 'sent,"iment'
     text = SMALL_EXPERIMENT.replace("name: t0", "name: 'sent,\"iment'")
@@ -299,7 +368,7 @@ def test_cli_search_skips_non_finite_rewards(tmp_path, monkeypatch):
         return float("nan") if calls["n"] % 2 == 0 else 0.5
 
     def stub_evaluators(config):
-        return [(t.name, EvaluatorBinding(t.name, config.space, half_nan)) for t in config.tasks]
+        return [(t.name, EvaluatorBinding(t.name, half_nan)) for t in config.tasks]
 
     monkeypatch.setattr(harness, "build_evaluators", stub_evaluators)
     cfg_path = write_config(tmp_path)

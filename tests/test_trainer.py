@@ -8,8 +8,8 @@ from modelsearch.fixtures import reduced_space
 from modelsearch.space import ParamSpec, SearchSpace
 from modelsearch.trainer import (
     BaselineTable,
+    Event,
     ReplayBank,
-    RewardRecord,
     TrainerConfig,
     build_state,
     compute_advantage,
@@ -35,15 +35,22 @@ def constant_binding(name, space, value=0.5):
 
 
 def test_compute_advantage_examples():
-    assert compute_advantage(0.6, 0.5, 1e-3) == (pytest.approx(0.1), pytest.approx(0.2))
-    assert compute_advantage(0.5, 0.5, 1e-3) == (0.0, 0.0)
-    a, a_norm = compute_advantage(0.9, 0.3, 1e-3)
-    assert a_norm == pytest.approx(2.0)
+    assert compute_advantage(0.6, 0.5, 1e-3) == pytest.approx(0.2)
+    assert compute_advantage(0.5, 0.5, 1e-3) == 0.0
+    assert compute_advantage(0.9, 0.3, 1e-3) == pytest.approx(2.0)
 
 
 def test_advantage_floor_guards_small_baselines():
-    a, a_norm = compute_advantage(0.5, 1e-9, 1e-3)
-    assert a_norm == pytest.approx(a / 1e-3)
+    assert compute_advantage(0.5, 1e-9, 1e-3) == pytest.approx((0.5 - 1e-9) / 1e-3)
+
+
+def test_compute_advantage_is_elementwise():
+    rewards = np.array([0.6, 0.5, 0.9, 0.5])
+    baselines = np.array([0.5, 0.5, 0.3, 1e-9])
+    got = compute_advantage(rewards, baselines, 1e-3)
+    assert got.shape == (4,)
+    for g, r, b in zip(got, rewards, baselines):
+        assert g == compute_advantage(float(r), float(b), 1e-3)
 
 
 def test_reward_scaling_leaves_normalized_advantage_unchanged():
@@ -56,8 +63,8 @@ def test_reward_scaling_leaves_normalized_advantage_unchanged():
         for r in rewards:
             t1.update(0, r)
             t2.update(0, c * r)
-            a1 = compute_advantage(r, t1.value(0), 1e-3)[1]
-            a2 = compute_advantage(c * r, t2.value(0), 1e-3)[1]
+            a1 = compute_advantage(r, t1.value(0), 1e-3)
+            a2 = compute_advantage(c * r, t2.value(0), 1e-3)
             assert abs(a1 - a2) < 1e-12
 
 
@@ -88,6 +95,16 @@ def test_baseline_from_version_1_dict_uses_the_table_decay():
     t.update(0, 0.7)
     assert t.value(0) == 0.95 * 0.5 + (1.0 - 0.95) * 0.7
     assert t.as_dict()["0"]["decay"] == 0.95
+
+
+def test_baseline_from_dict_skips_uninitialized_entries():
+    stored = {
+        "0": {"value": 0.5, "decay": 0.95, "initialized": True},
+        "1": {"value": 0.0, "decay": 0.95, "initialized": False},
+    }
+    t = BaselineTable.from_dict(stored, 0.95)
+    assert t.initialized(0) and not t.initialized(1)
+    assert t.as_dict() == {"0": stored["0"]}
 
 
 def test_baseline_constant_rewards_fixed_point():
@@ -158,7 +175,7 @@ def test_ppo_loss_shape_checks():
 
 
 def _record(task=0, reward=0.5, it=0):
-    return RewardRecord(task, (0, 0), np.array([-0.7, -1.1]), reward, it)
+    return Event(it, task, f"task{task}", reward, reward, 0.0, (0, 0), np.array([-0.7, -1.1]))
 
 
 def test_replay_fifo_eviction():
@@ -192,13 +209,6 @@ def test_replay_sampling_uniformity():
         counts[r.iteration] += 1
     freq = counts / 10_000
     assert np.all(freq >= 0.07) and np.all(freq <= 0.13)
-
-
-def test_reward_record_validation():
-    with pytest.raises(ValueError):
-        RewardRecord(0, (0,), np.array([-1.0]), np.nan, 0)
-    with pytest.raises(ValueError):
-        RewardRecord(0, (0,), np.array([0.5]), 0.5, 0)
 
 
 # --- training loop -----------------------------------------------------------
@@ -288,7 +298,6 @@ def test_zero_iterations_returns_empty_result():
     state.config.total_iterations = 0
     res = run_state(state, np.random.default_rng(0))
     assert res.events == []
-    assert res.best == {}
 
 
 def test_fixed_seed_runs_are_identical():
@@ -319,7 +328,7 @@ def test_evaluator_failures_are_skipped_not_fatal():
 
     from modelsearch.evaluators import EvaluatorBinding
 
-    binding = EvaluatorBinding("flaky", TINY, flaky)
+    binding = EvaluatorBinding("flaky", flaky)
     cfg = TrainerConfig(total_iterations=30)
     state = build_state(TINY, [("flaky", binding)], cfg, 0, SMALL_DIMS)
     res = run_state(state, np.random.default_rng(0))
@@ -337,7 +346,7 @@ def test_non_finite_rewards_are_skipped_like_failures(bad, caplog):
 
     from modelsearch.evaluators import EvaluatorBinding
 
-    binding = EvaluatorBinding("half_bad", TINY, half_bad)
+    binding = EvaluatorBinding("half_bad", half_bad)
     cfg = TrainerConfig(total_iterations=30)
     state = build_state(TINY, [("half_bad", binding)], cfg, 0, SMALL_DIMS)
     with caplog.at_level("WARNING", logger="modelsearch.trainer"):
