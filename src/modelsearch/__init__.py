@@ -24,7 +24,6 @@ from .controller import (
     ControllerDims,
     ControllerParams,
     SampledModel,
-    TaskRegistry,
     action_distributions,
     add_task,
     exact_action_distributions,

@@ -8,9 +8,14 @@ little-endian. A plain-text sidecar manifest lists every array's shape.
 Round trips are bitwise: loading and re-saving yields identical bytes
 apart from the timestamp field.
 
+The registry lists one entry per task-embedding row, in row order:
+``task_id`` (the row), ``name``, ``evaluator_ref`` (the name again) and
+``active`` (whether the saved search had an evaluator for the task).
+Loading keeps only the names.
+
 Transfer reuses both controllers' weights, adds one freshly initialized
-task-embedding row per new task, restarts the replay bank and leaves the
-old tasks registered but excluded from task sampling.
+task-embedding row per new task, restarts the replay bank and searches
+only the new tasks; the old ones keep their rows but get no evaluator.
 """
 
 from __future__ import annotations
@@ -27,13 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import (
-    ControllerDims,
-    ControllerParams,
-    TaskEntry,
-    TaskRegistry,
-    add_task,
-)
+from .controller import ControllerDims, ControllerParams, add_task
 from .errors import (
     DegenerateEmbedding,
     FingerprintMismatch,
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .optim import AdamState
 from .space import SearchSpace
-from .trainer import BaselineTable, ReplayBank, TrainerConfig, TrainerState
+from .trainer import BaselineTable, ReplayBank, TrainerConfig, TrainerState, check_task_names
 
 MAGIC = b"MSRCHCKP"
 FORMAT_VERSION = 1
@@ -66,35 +65,21 @@ class CheckpointState:
     actor: ControllerParams
     critic: ControllerParams
     baselines: BaselineTable
-    registry: TaskRegistry
+    task_names: list[str]
     config: TrainerConfig
-    meta: dict
+    meta: dict  # the metadata block as read; a re-save writes it unchanged
 
 
-def _registry_to_meta(registry: TaskRegistry) -> list:
-    return [
-        {
-            "task_id": e.task_id,
-            "name": e.name,
-            "evaluator_ref": e.evaluator_ref,
-            "active": e.active,
-        }
-        for e in registry
-    ]
-
-
-def _registry_from_meta(entries: list) -> TaskRegistry:
-    return TaskRegistry(
-        [
-            TaskEntry(
-                task_id=int(e["task_id"]),
-                name=e["name"],
-                evaluator_ref=e["evaluator_ref"],
-                active=bool(e["active"]),
-            )
-            for e in entries
-        ]
-    )
+def _task_names(registry) -> list[str]:
+    """The names of a version-1 registry block, which must be well formed."""
+    if not isinstance(registry, list):
+        raise ValueError("registry must be a list")
+    for row, entry in enumerate(registry):
+        if missing := {"task_id", "name", "evaluator_ref", "active"} - entry.keys():
+            raise KeyError(f"registry entry {row} lacks {sorted(missing)}")
+        if int(entry["task_id"]) != row or not isinstance(entry["name"], str):
+            raise ValueError(f"registry entry {row} needs task_id {row} and a string name")
+    return check_task_names(entry["name"] for entry in registry)
 
 
 def _write_array(f, name: str, arr: np.ndarray):
@@ -132,34 +117,30 @@ def _read_array(f) -> tuple[str, np.ndarray]:
 def save_checkpoint(state, path, meta_extra: dict | None = None):
     """Serialize a TrainerState (or CheckpointState) to ``path``.
 
-    Also writes a human-readable ``<path>.manifest.txt`` listing shapes.
+    A CheckpointState keeps the metadata block it was read with. Also
+    writes a human-readable ``<path>.manifest.txt`` listing shapes.
     """
     actor = state.actor
     critic = state.critic
     if actor.layout.entries != critic.layout.entries:
         raise ValueError("actor and critic layouts differ")
-    base_meta = state.meta if isinstance(state, CheckpointState) else {}
-    meta = {
-        "dims": {
-            "hidden_size": actor.dims.hidden_size,
-            "action_embed": actor.dims.action_embed,
-            "task_embed": actor.dims.task_embed,
-            "num_layers": actor.dims.num_layers,
-        },
-        "n_tasks": actor.n_tasks,
-        "registry": _registry_to_meta(state.registry),
-        "baselines": state.baselines.as_dict(),
-        "trainer_config": dataclasses.asdict(state.config),
-        "rng_note": base_meta.get(
-            "rng_note",
-            {
-                "iterations_completed": getattr(state, "iteration", None),
+    if isinstance(state, CheckpointState):
+        meta = dict(state.meta)
+    else:
+        meta = {
+            "dims": dataclasses.asdict(actor.dims),
+            "n_tasks": actor.n_tasks,
+            "registry": [
+                dict(task_id=tid, name=name, evaluator_ref=name, active=tid in state.evaluators)
+                for tid, name in enumerate(state.task_names)
+            ],
+            "baselines": state.baselines.as_dict(),
+            "trainer_config": dataclasses.asdict(state.config),
+            "rng_note": {
+                "iterations_completed": state.iteration,
                 "detail": "runs never resume a generator; new runs draw a fresh stream from their seed",
             },
-        ),
-    }
-    for k, v in base_meta.items():
-        meta.setdefault(k, v)
+        }
     if meta_extra:
         meta.update(meta_extra)
     meta_b = json.dumps(meta, sort_keys=True).encode()
@@ -235,9 +216,9 @@ def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
             raise ValueError(f"n_tasks must be an integer >= 1, got {n_tasks!r}")
         cfg = TrainerConfig(**meta["trainer_config"])
         baselines = BaselineTable.from_dict(meta["baselines"], cfg.baseline_decay)
-        registry = _registry_from_meta(meta["registry"])
-        if len(registry) != n_tasks:
-            raise ValueError(f"{len(registry)} registered tasks for n_tasks {n_tasks}")
+        task_names = _task_names(meta["registry"])
+        if len(task_names) != n_tasks:
+            raise ValueError(f"{len(task_names)} registered tasks for n_tasks {n_tasks}")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise IoFailure(
             f"checkpoint at {path} has malformed metadata: {type(e).__name__}: {e}"
@@ -261,7 +242,7 @@ def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
         actor=rebuild("actor/"),
         critic=rebuild("critic/"),
         baselines=baselines,
-        registry=registry,
+        task_names=task_names,
         config=cfg,
         meta=meta,
     )
@@ -275,45 +256,40 @@ def transfer_init(
 ) -> TrainerState:
     """Trainer state for new tasks on top of a pre-trained controller.
 
-    ``new_tasks`` is a list of (name, evaluator) pairs. Both controllers'
-    weights are reused bitwise; each new task gets a fresh uniformly
-    initialized embedding row; the replay bank starts empty; baselines for
-    the new tasks are uninitialized. Pre-training tasks stay registered
-    but inactive, so task sampling only visits the new tasks. Optimizer
-    moments are reset (fresh task distribution). Nothing in ``checkpoint``
-    is modified, so one loaded checkpoint can seed many transfers.
+    ``new_tasks`` is a list of (name, evaluator) pairs; a name the
+    checkpoint already has raises ValueError. Both controllers' weights
+    are reused bitwise; each new task gets a fresh uniformly initialized
+    embedding row; the replay bank starts empty; baselines for the new
+    tasks are uninitialized. Only the new tasks get evaluators, so task
+    sampling only visits them; the pre-training tasks keep their rows and
+    names. Optimizer moments are reset (fresh task distribution). Nothing
+    in ``checkpoint`` is modified, so one loaded checkpoint can seed many
+    transfers.
     """
     rng = np.random.default_rng(seed_or_rng)
     cfg = config if config is not None else checkpoint.config
-
-    registry = TaskRegistry(
-        [
-            TaskEntry(e.task_id, e.name, e.evaluator_ref, active=False)
-            for e in checkpoint.registry
-        ]
+    task_names = check_task_names(
+        checkpoint.task_names + [str(name) for name, _ in new_tasks]
     )
+
     actor = checkpoint.actor
     critic = checkpoint.critic
     evaluators = {}
-    for name, evaluator in new_tasks:
+    for _, evaluator in new_tasks:
         # one fresh embedding row, shared by actor and critic so the pair
-        # starts in sync on the new task
+        # starts in sync on the new task; the critic's own draw is
+        # overwritten, and kept because dropping it would shift every
+        # later draw of the transfer
         actor, new_id = add_task(actor, rng)
-        new_row = actor.task_embeddings()[new_id]
-        critic, critic_id = add_task(critic, rng)
-        if critic_id != new_id:
-            raise ValueError("actor/critic task tables diverged")
-        critic.task_embeddings()[critic_id][...] = new_row
-        reg_id = registry.add(name, getattr(evaluator, "name", name), active=True)
-        if reg_id != new_id:
-            raise ValueError("registry and embedding table out of step")
+        critic, _ = add_task(critic, rng)
+        critic.task_embeddings()[new_id] = actor.task_embeddings()[new_id]
         evaluators[new_id] = evaluator
 
     baselines = BaselineTable.from_dict(
         checkpoint.baselines.as_dict(), cfg.baseline_decay
     )
     return TrainerState(
-        registry=registry,
+        task_names=task_names,
         evaluators=evaluators,
         actor=actor,
         critic=critic,

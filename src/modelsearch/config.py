@@ -268,10 +268,12 @@ def build_evaluator(space: SearchSpace, task: TaskSpec, base_dir=Path(".")) -> E
         _check_keys(ev, {"dataset", "seed"}, where)
         dataset = str(ev.get("dataset", "separable"))
         seed = ev.get("seed")
+        if seed is not None and not (_is_int(seed) and seed >= 0):
+            raise ConfigError(f"{where}.seed must be an integer >= 0, got {seed!r}")
         if dataset == "separable":
-            toy = toy_separable() if seed is None else toy_separable(int(seed))
+            toy = toy_separable() if seed is None else toy_separable(seed)
         elif dataset == "overlap":
-            toy = toy_overlap() if seed is None else toy_overlap(int(seed))
+            toy = toy_overlap() if seed is None else toy_overlap(seed)
         else:
             raise ConfigError(f"{where}.dataset must be 'separable' or 'overlap'")
         return binding_from_child_task(task.name, toy)

@@ -400,47 +400,3 @@ def exact_action_distributions(params: ControllerParams, task_id) -> list[np.nda
             margs[i] += np.bincount(actions[:, i], weights=weights, minlength=count)
     return [marg / total for marg in margs]
 
-
-@dataclass
-class TaskEntry:
-    """One registered task: a stable id, a name and its evaluator binding."""
-
-    task_id: int
-    name: str
-    evaluator_ref: str
-    active: bool = True
-
-
-class TaskRegistry:
-    """Ordered task descriptors; the id doubles as the embedding row index."""
-
-    def __init__(self, entries=()):
-        self.entries: list[TaskEntry] = list(entries)
-        self._check()
-
-    def _check(self):
-        ids = [e.task_id for e in self.entries]
-        if ids != list(range(len(ids))):
-            raise ValueError("task ids must be consecutive row indices")
-        names = [e.name for e in self.entries]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate task names")
-
-    def add(self, name: str, evaluator_ref: str, active: bool = True) -> int:
-        task_id = len(self.entries)
-        self.entries.append(TaskEntry(task_id, str(name), str(evaluator_ref), active))
-        return task_id
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def entry(self, task_id: int) -> TaskEntry:
-        if not 0 <= task_id < len(self.entries):
-            raise UnknownTask(task_id)
-        return self.entries[task_id]
-
-    def active_ids(self) -> list[int]:
-        return [e.task_id for e in self.entries if e.active]

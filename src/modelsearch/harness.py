@@ -145,39 +145,36 @@ def _write_aggregate(config: ExperimentConfig, out_dir: Path, states: list):
     with open(agg / "heatmap.csv", "w", newline="") as f:
         w = _csv_writer(f)
         w.writerow(["task", "parameter", "choice", "probability"])
-        for entry in rep.registry:
-            if not entry.active:
-                continue
+        for task_id in rep.evaluators:
             if config.space.cardinality() <= EXACT_ENUMERATION_LIMIT:
-                margs = exact_action_distributions(rep.actor, entry.task_id)
+                margs = exact_action_distributions(rep.actor, task_id)
             else:
                 # derived stream, distinct from the training seed
                 margs = action_distributions(
                     rep.actor,
-                    entry.task_id,
+                    task_id,
                     config.heatmap_samples,
-                    np.random.default_rng([rep_seed, entry.task_id, 7]),
+                    np.random.default_rng([rep_seed, task_id, 7]),
                 )
             for p, marg in zip(config.space.params, margs):
                 for choice, prob in zip(p.choices, marg):
-                    w.writerow([entry.name, p.name, str(choice), _fmt(prob)])
+                    w.writerow([rep.task_names[task_id], p.name, str(choice), _fmt(prob)])
     artifacts.append("aggregate/heatmap.csv")
 
-    all_ids = [e.task_id for e in rep.registry]
-    if len(all_ids) >= 2:
+    # every embedding row, pre-training tasks of a transfer included
+    names = rep.task_names
+    if len(names) >= 2:
         try:
-            corr = task_embedding_correlations(rep.actor, all_ids)
+            corr = task_embedding_correlations(rep.actor, range(len(names)))
         except DegenerateEmbedding:
             log.warning("skipping correlation matrix: degenerate embedding")
         else:
             with open(agg / "embedding_correlations.csv", "w", newline="") as f:
                 w = _csv_writer(f)
                 w.writerow(["task_a", "task_b", "pearson"])
-                for i, a in enumerate(all_ids):
-                    for j, b in enumerate(all_ids):
-                        w.writerow(
-                            [rep.registry.entry(a).name, rep.registry.entry(b).name, _fmt(corr[i, j])]
-                        )
+                for i, a in enumerate(names):
+                    for j, b in enumerate(names):
+                        w.writerow([a, b, _fmt(corr[i, j])])
             artifacts.append("aggregate/embedding_correlations.csv")
     return artifacts
 
@@ -194,6 +191,11 @@ def run_search_experiment(config: ExperimentConfig, mode: str = "search") -> Pat
     ckpt = None
     if mode == "transfer":
         ckpt = load_checkpoint(config.transfer_checkpoint, config.space)
+        for name, _ in tasks:
+            if name in ckpt.task_names:
+                raise ConfigError(
+                    f"tasks: {name!r} is already a task of checkpoint {config.transfer_checkpoint}"
+                )
     states = []
     artifacts = []
     for seed in config.seeds:
@@ -239,11 +241,18 @@ class ReportRow:
     auc_smoothed: float
 
 
+def _finite_reward(text: str) -> float:
+    reward = float(text)
+    if not np.isfinite(reward):
+        raise ValueError(f"reward {text!r} is not finite")
+    return reward
+
+
 def read_event_log(path) -> dict:
     """Parse one event log into {task: (iterations, rewards)} in file order.
 
-    A missing column or a value that does not parse raises MissingLog
-    naming the file and the line.
+    A missing column, a value that does not parse or a reward that is not
+    finite raises MissingLog naming the file and the line.
     """
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -252,7 +261,8 @@ def read_event_log(path) -> dict:
                 if column not in (reader.fieldnames or ()):
                     raise ValueError(f"no {column!r} column")
             triples = [
-                (row["task"], int(row["iteration"]), float(row["reward"])) for row in reader
+                (row["task"], int(row["iteration"]), _finite_reward(row["reward"]))
+                for row in reader
             ]
         except (csv.Error, TypeError, ValueError) as e:
             raise MissingLog(

@@ -1,8 +1,10 @@
 """Multitask search training loop.
 
-One iteration: pick a task uniformly at random, let the actor controller
-sample model configurations for it, evaluate them to get rewards and
-update the per-task reward baseline. Each kept sample becomes one
+A task is a row of the controllers' task-embedding table and a name; it
+is searched exactly when it has an evaluator. One iteration: pick one of
+the searched tasks uniformly at random, let the actor controller sample
+model configurations for it, evaluate them to get rewards and update the
+per-task reward baseline. Each kept sample becomes one
 ``Event``: the same object is appended to the event log, pushed into the
 replay bank and handed to the ``on_event`` callback. Then the critic
 controller takes one clipped off-policy policy-gradient step on a replay
@@ -23,7 +25,6 @@ import numpy as np
 from .controller import (
     ControllerDims,
     ControllerParams,
-    TaskRegistry,
     init_controller,
     policy_backward,
     sample_sequence,
@@ -226,11 +227,15 @@ def ppo_clipped_loss(
 class TrainerState:
     """Everything a search owns; a single logical thread mutates it.
 
-    The search space is the controllers' own, ``state.actor.space``.
+    Task ``i`` is row ``i`` of the controllers' task embeddings and is
+    named ``task_names[i]``. A task is searched exactly when it has an
+    evaluator: ``evaluators`` maps those task ids, in increasing order, to
+    their bindings. The search space is the controllers' own,
+    ``state.actor.space``.
     """
 
-    registry: TaskRegistry
-    evaluators: dict  # task_id -> EvaluatorBinding
+    task_names: list[str]
+    evaluators: dict  # task_id -> EvaluatorBinding, ids in increasing order
     actor: ControllerParams
     critic: ControllerParams
     adam: AdamState
@@ -252,17 +257,14 @@ def build_state(
     """Fresh trainer state. ``tasks`` is a list of (name, evaluator) pairs."""
     if len(tasks) < 1:
         raise ValueError("need at least one task")
-    registry = TaskRegistry()
-    evaluators = {}
-    for name, evaluator in tasks:
-        tid = registry.add(name, getattr(evaluator, "name", name))
-        evaluators[tid] = evaluator
+    task_names = check_task_names(str(name) for name, _ in tasks)
+    evaluators = {tid: evaluator for tid, (_, evaluator) in enumerate(tasks)}
     rng = np.random.default_rng(seed_or_rng)
-    actor = init_controller(space, len(registry), rng, dims)
+    actor = init_controller(space, len(task_names), rng, dims)
     critic = actor.copy()
     baselines = BaselineTable(config.baseline_decay)
     return TrainerState(
-        registry=registry,
+        task_names=task_names,
         evaluators=evaluators,
         actor=actor,
         critic=critic,
@@ -273,12 +275,21 @@ def build_state(
     )
 
 
-def draw_task(registry: TaskRegistry, rng) -> int:
-    """Uniform draw over the currently active tasks."""
-    active = registry.active_ids()
-    if not active:
-        raise UnknownTask("<no active tasks>")
-    return active[int(rng.integers(0, len(active)))]
+def check_task_names(names) -> list[str]:
+    """The names as a list; ValueError names one that repeats."""
+    names = list(names)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"duplicate task name {name!r}")
+    return names
+
+
+def draw_task(evaluators: dict, rng) -> int:
+    """Uniform draw over the tasks that have an evaluator."""
+    searched = list(evaluators)
+    if not searched:
+        raise UnknownTask("<no task has an evaluator>")
+    return searched[int(rng.integers(0, len(searched)))]
 
 
 def _critic_step(state: TrainerState, rng) -> float | None:
@@ -315,9 +326,9 @@ def _critic_step(state: TrainerState, rng) -> float | None:
 def train_iteration(state: TrainerState, rng, on_event: Callable | None = None):
     """One controller training iteration; records one Event per kept sample."""
     cfg = state.config
-    task_id = draw_task(state.registry, rng)
+    task_id = draw_task(state.evaluators, rng)
     evaluator = state.evaluators[task_id]
-    task_name = state.registry.entry(task_id).name
+    task_name = state.task_names[task_id]
 
     for _ in range(cfg.samples_per_iteration):
         model = sample_sequence(state.actor, task_id, rng)

@@ -268,11 +268,11 @@ def test_criterion_3_task_differentiation(pair_a, base_runs, optima_a):
         for seed in SEEDS:
             run = base_runs[seed]
             good = True
-            for entry in run.registry:
+            for task_id, name in enumerate(run.task_names):
                 margs = action_distributions(
-                    run.actor, entry.task_id, 10_000, np.random.default_rng(900 + seed)
+                    run.actor, task_id, 10_000, np.random.default_rng(900 + seed)
                 )
-                planted = optima_a[entry.name][0]
+                planted = optima_a[name][0]
                 for pos in diff:
                     if int(np.argmax(margs[pos])) != planted[pos]:
                         good = False

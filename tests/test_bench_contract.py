@@ -5,8 +5,8 @@ modules and classes that look them up. Installing and removing every one
 of those wrappers here makes a deleted or moved name fail in the test
 suite, not only in a traced benchmark run. A short traced search then
 checks the benchmark's tie-outs, which also read argument positions and
-call counts; a short traced child-network search checks them on the
-child-training path.
+call counts; a short traced child-network search and a short traced
+transfer check them on the child-training and transfer paths.
 """
 
 import sys
@@ -100,3 +100,33 @@ def test_traced_child_search_ties_out(tmp_path, monkeypatch):
     assert problems == []
     assert metrics["evaluators.calls"][0] == 4
     assert metrics["optim.adagrad.calls"][0] == sum(steps)
+
+
+def test_traced_transfer_ties_out(tmp_path):
+    search = workloads.Workload("pre", "configs/planted-pair.yaml", {"total_iterations": 30})
+    search_path = workloads.write_config(search, ROOT, tmp_path, 0)
+    pre = tmp_path / "pre"
+    assert modelsearch.cli.main(["search", "--config", str(search_path), "--out", str(pre)]) == 0
+    workload = workloads.Workload(
+        "transfer-tie-out", "configs/transfer-related.yaml", {"total_iterations": 30}
+    )
+    config_path = workloads.write_config(workload, ROOT, tmp_path, 0)
+    config = modelsearch.config.load_experiment_config(config_path)
+    out_dir = tmp_path / "traced"
+    tracer = tracing.Tracer()
+    argv = [
+        "transfer", "--config", str(config_path), "--seed", "0", "--out", str(out_dir),
+        "--checkpoint", str(pre / "seed_0" / "checkpoint.bin"),
+    ]
+    with tracing.patched(tracer.wraps(modelsearch)):
+        start = perf_counter_ns()
+        code = modelsearch.cli.main(argv)
+        end = perf_counter_ns()
+    assert code == 0
+    with open(out_dir / "seed_0" / "events.csv") as f:
+        rows = sum(1 for _ in f) - 1
+    assert rows == 30
+    traced = run.Search(out_dir, start, end, completed=True, rows=rows)
+    metrics, problems = layers.layer_metrics(tracer, config, traced, traced.seconds)
+    assert problems == []
+    assert metrics["kernel.lstm_step.calls"][0] == 7 * (30 + 30)

@@ -50,7 +50,7 @@ def test_round_trip_reproduces_weights_bitwise(tmp_path):
     assert np.array_equal(loaded.actor.flat, state.actor.flat)
     assert np.array_equal(loaded.critic.flat, state.critic.flat)
     assert loaded.baselines.as_dict() == state.baselines.as_dict()
-    assert [e.name for e in loaded.registry] == ["alpha", "beta"]
+    assert loaded.task_names == ["alpha", "beta"]
     assert loaded.config == state.config
     assert (tmp_path / "ck.bin.manifest.txt").exists()
 
@@ -126,6 +126,10 @@ BAD_META = {
     "n_tasks unlike registry": _edit_json(lambda m: m.update(n_tasks=3)),
     "bad baseline value": _edit_json(lambda m: m["baselines"]["0"].update(value="high")),
     "registry not a list": _edit_json(lambda m: m.update(registry={"0": "alpha"})),
+    "registry entry without active": _edit_json(lambda m: m["registry"][0].pop("active")),
+    "registry entry without task_id": _edit_json(lambda m: m["registry"][1].pop("task_id")),
+    "registry ids not row indices": _edit_json(lambda m: m["registry"][1].update(task_id=5)),
+    "duplicate registry names": _edit_json(lambda m: m["registry"][1].update(name="alpha")),
     "meta a JSON list": lambda meta_b: b"[]",
     "meta not JSON": lambda meta_b: b"{not json",
     "meta not UTF-8": lambda meta_b: b"\xff\xfe{}",
@@ -339,22 +343,64 @@ def test_transfer_empties_replay_and_baselines(tmp_path):
     assert len(state.replay) > 0
     new_state = transfer_init(ckpt, new_tasks, np.random.default_rng(1))
     assert len(new_state.replay) == 0
-    for entry in new_state.registry:
-        if entry.name in ("gamma", "delta"):
-            assert not new_state.baselines.initialized(entry.task_id)
+    for task_id, name in enumerate(new_state.task_names):
+        if name in ("gamma", "delta"):
+            assert not new_state.baselines.initialized(task_id)
 
 
 def test_transfer_registers_new_tasks_active_old_inactive(tmp_path):
     _, ckpt, new_tasks = transfer_setup(tmp_path)
     new_state = transfer_init(ckpt, new_tasks, np.random.default_rng(1))
-    active = {new_state.registry.entry(t).name for t in new_state.registry.active_ids()}
+    active = {new_state.task_names[t] for t in new_state.evaluators}
     assert active == {"gamma", "delta"}
-    assert len(new_state.registry) == 4
+    assert len(new_state.task_names) == 4
     new_rows = new_state.actor.task_embeddings()[2:]
     assert np.all(np.abs(new_rows) <= 0.08)
     assert np.array_equal(
         new_state.actor.task_embeddings()[2:], new_state.critic.task_embeddings()[2:]
     )
+
+
+def test_transfer_rejects_a_task_name_the_checkpoint_has(tmp_path):
+    _, ckpt, new_tasks = transfer_setup(tmp_path)
+    clash = [new_tasks[0], ("beta", new_tasks[1][1])]
+    with pytest.raises(ValueError, match="'beta'"):
+        transfer_init(ckpt, clash, np.random.default_rng(1))
+
+
+def test_transfer_checkpoint_records_which_tasks_were_searched(tmp_path):
+    _, ckpt, new_tasks = transfer_setup(tmp_path)
+    new_state = transfer_init(ckpt, new_tasks, np.random.default_rng(1))
+    run_state(new_state, np.random.default_rng(2))
+    path = tmp_path / "tr.bin"
+    save_checkpoint(new_state, path)
+    registry = load_checkpoint(path, TINY).meta["registry"]
+    assert registry == [
+        {"task_id": i, "name": name, "evaluator_ref": name, "active": i >= 2}
+        for i, name in enumerate(["alpha", "beta", "gamma", "delta"])
+    ]
+
+
+def test_chained_transfer_loads_and_trains(tmp_path):
+    _, ckpt, new_tasks = transfer_setup(tmp_path)
+    first = transfer_init(ckpt, new_tasks, np.random.default_rng(1))
+    run_state(first, np.random.default_rng(2))
+    path = tmp_path / "tr.bin"
+    save_checkpoint(first, path)
+    table = planted_table(TINY, (1, 0), 0.9, falloff=0.8)
+    second = transfer_init(
+        load_checkpoint(path, TINY),
+        [("epsilon", binding_from_table("epsilon", table))],
+        np.random.default_rng(3),
+        config=TrainerConfig(total_iterations=10),
+    )
+    assert second.task_names == ["alpha", "beta", "gamma", "delta", "epsilon"]
+    assert list(second.evaluators) == [4]
+    run_state(second, np.random.default_rng(4))
+    assert len(second.events) == 10
+    assert {e.task_name for e in second.events} == {"epsilon"}
+    save_checkpoint(second, path)
+    assert load_checkpoint(path, TINY).task_names == second.task_names
 
 
 def test_transferred_state_trains(tmp_path):

@@ -29,6 +29,9 @@ tasks:
 """
 
 
+PLANTED_T0 = "{kind: planted, optimum: [0, 1], ceiling: 0.9, falloff: 0.8}"
+
+
 def write_config(tmp_path, text=SMALL_EXPERIMENT, name="cfg.yaml"):
     p = tmp_path / name
     p.write_text(textwrap.dedent(text))
@@ -163,6 +166,18 @@ def test_transfer_mode_via_harness(tmp_path):
     assert tasks_in_corr == {"t0", "t1", "n0", "n1"}
 
 
+def test_cli_transfer_rejects_a_task_name_the_checkpoint_has(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    pre = run_experiment(cfg_path, mode="search", seeds=[0], out_dir=tmp_path / "pre")
+    ckpt = pre / "seed_0" / "checkpoint.bin"
+    out = tmp_path / "tr"
+    argv = ["transfer", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--out", str(out)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: tasks: 't0' is already a task of checkpoint {ckpt}")
+    assert not list(out.glob("seed_*"))
+
+
 def test_report_compare_and_sentinel(tmp_path):
     cfg_path = write_config(tmp_path)
     r1 = run_experiment(cfg_path, mode="search", seeds=[0], out_dir=tmp_path / "r1")
@@ -192,6 +207,8 @@ BAD_LOGS = {
     "missing reward column": (GOOD_LOG.replace("reward,baseline", "baseline"), 1),
     "non-numeric reward": (GOOD_LOG.replace("1,t0,0.6", "1,t0,abc"), 3),
     "non-integer iteration": (GOOD_LOG.replace("1,t0,0.6", "1.5,t0,0.6"), 3),
+    "nan reward": (GOOD_LOG.replace("1,t0,0.6", "1,t0,nan"), 3),
+    "inf reward": (GOOD_LOG.replace("0,t0,0.5", "0,t0,inf"), 2),
 }
 
 
@@ -288,6 +305,10 @@ def test_cli_rejects_task_names_that_cannot_be_file_names(tmp_path, capsys, name
         ("replay_capacity: 50", "grad_clip_norm: -1", "trainer: grad_clip_norm"),
         ("optimum: [0, 1]", "optimum: [1, z]", "tasks[t0].evaluator.optimum"),
         ("ceiling: 0.9,", "reward_scale: -1,", "tasks[t0].evaluator: reward_scale"),
+        (PLANTED_T0, "{kind: child_network, seed: abc}", "tasks[t0].evaluator.seed"),
+        (PLANTED_T0, "{kind: child_network, seed: -1}", "tasks[t0].evaluator.seed"),
+        (PLANTED_T0, "{kind: child_network, seed: 1.5}", "tasks[t0].evaluator.seed"),
+        (PLANTED_T0, "{kind: child_network, seed: true}", "tasks[t0].evaluator.seed"),
     ],
 )
 def test_cli_rejects_bad_config_values(tmp_path, capsys, old, new, prefix):

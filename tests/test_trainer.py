@@ -223,10 +223,16 @@ def small_state(n_tasks=2, **cfg_kwargs):
     return build_state(TINY, tasks, cfg, 0, SMALL_DIMS)
 
 
+def test_build_state_rejects_duplicate_task_names():
+    tasks = [("same", constant_binding("same", TINY, 0.5))] * 2
+    with pytest.raises(ValueError, match="duplicate task name 'same'"):
+        build_state(TINY, tasks, TrainerConfig(), 0, SMALL_DIMS)
+
+
 def test_task_draw_is_uniform():
     state = small_state()
     rng = np.random.default_rng(0)
-    draws = np.array([draw_task(state.registry, rng) for _ in range(10_000)])
+    draws = np.array([draw_task(state.evaluators, rng) for _ in range(10_000)])
     count = (draws == 0).sum()
     # binomial 3 sigma around 5000
     assert abs(count - 5000) <= 3 * np.sqrt(10_000 * 0.25)
