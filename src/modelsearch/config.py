@@ -62,6 +62,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _number(mapping: dict, key: str, default: float, where: str) -> float:
+    """``mapping[key]``, or the default, as a float; only an int or a float will do."""
+    v = mapping.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
+    return float(v)
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"missing field {where}.{key}" if where else f"missing field {key}")
@@ -235,18 +243,14 @@ def build_evaluator(space: SearchSpace, task: TaskSpec, base_dir=Path(".")) -> E
             actions = tuple(optimum)
         else:
             raise ConfigError(f"{where}.optimum must be a list of indices or a mapping")
+        ceiling = _number(ev, "ceiling", 0.95, where)
+        falloff = _number(ev, "falloff", 0.9, where)
+        noise_sigma = _number(ev, "noise_sigma", 0.0, where)
+        reward_scale = _number(ev, "reward_scale", 1.0, where)
         try:
-            table = planted_table(
-                space,
-                actions,
-                ceiling=float(ev.get("ceiling", 0.95)),
-                falloff=float(ev.get("falloff", 0.9)),
-            )
+            table = planted_table(space, actions, ceiling=ceiling, falloff=falloff)
             table = OracleTable(
-                space,
-                table.accuracies,
-                noise_sigma=float(ev.get("noise_sigma", 0.0)),
-                reward_scale=float(ev.get("reward_scale", 1.0)),
+                space, table.accuracies, noise_sigma=noise_sigma, reward_scale=reward_scale
             )
         except (ValueError, ModelSearchError) as e:
             raise ConfigError(f"{where}: {e}") from e
@@ -254,12 +258,11 @@ def build_evaluator(space: SearchSpace, task: TaskSpec, base_dir=Path(".")) -> E
     if kind == "table_csv":
         _check_keys(ev, {"path", "noise_sigma", "reward_scale"}, where)
         path = base_dir / str(_require(ev, "path", where))
+        noise_sigma = _number(ev, "noise_sigma", 0.0, where)
+        reward_scale = _number(ev, "reward_scale", 1.0, where)
         try:
             table = OracleTable.from_csv(
-                path,
-                space,
-                noise_sigma=float(ev.get("noise_sigma", 0.0)),
-                reward_scale=float(ev.get("reward_scale", 1.0)),
+                path, space, noise_sigma=noise_sigma, reward_scale=reward_scale
             )
         except (OSError, ValueError) as e:
             raise ConfigError(f"{where}.path: {e}") from e

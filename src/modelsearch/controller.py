@@ -20,6 +20,7 @@ import numpy as np
 from .errors import IndexOutOfRange, LengthMismatch, UnknownTask
 from .kernel import (
     LstmLayerParams,
+    LstmStepRecord,
     log_softmax,
     lstm_sequence_backward,
     lstm_step_record,
@@ -189,6 +190,30 @@ class ForwardPass:
     hidden: list  # per step: (B, H) top-layer output
     records: list  # per step: list of kernel LstmStepRecord, one per layer
 
+    def rows(self, idx: np.ndarray) -> "ForwardPass":
+        """The pass restricted to the rows ``idx``; every array is copied once."""
+
+        def take(a):
+            return a.take(idx, axis=0)
+
+        return ForwardPass(
+            task_ids=take(self.task_ids),
+            actions=take(self.actions),
+            log_probs=take(self.log_probs),
+            probs=[take(p) for p in self.probs],
+            hidden=[take(h) for h in self.hidden],
+            records=[
+                [
+                    LstmStepRecord(
+                        take(r.x), take(r.h_prev), take(r.c_prev), take(r.i),
+                        take(r.f), take(r.g), take(r.o), take(r.tc),
+                    )
+                    for r in step
+                ]
+                for step in self.records
+            ],
+        )
+
 
 def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one category per row by inverse CDF."""
@@ -311,6 +336,12 @@ def policy_backward(
 
     ``d_log_probs`` has shape (B, T), matching ``fwd.log_probs``. Returns a
     flat gradient vector aligned with the parameter layout.
+
+    A row of ``d_log_probs`` that is all zero adds nothing to any gradient,
+    so only the other rows are backpropagated: nothing when every row is
+    zero, the recorded pass as it stands when no row is, and otherwise a
+    copy of the rows that carry gradient. The result is the full-batch
+    gradient up to the rounding of smaller matrix products.
     """
     space = params.space
     dims = params.dims
@@ -322,6 +353,13 @@ def policy_backward(
         raise ValueError("forward pass was not recorded; call teacher_forced")
 
     grads = ControllerParams.zeros(space, dims, params.n_tasks)
+    active = np.flatnonzero(d_log_probs.any(axis=1))
+    if active.size == 0:
+        return grads.flat
+    if active.size < B:
+        fwd = fwd.rows(active)
+        d_log_probs = d_log_probs[active]
+        B = active.size
     rows = np.arange(B)
 
     # through each step's projection into the top-layer hidden outputs

@@ -183,8 +183,6 @@ def run_search_experiment(config: ExperimentConfig, mode: str = "search") -> Pat
     """Run every seed, then write aggregate artifacts and the manifest."""
     if mode == "transfer" and config.transfer_checkpoint is None:
         raise ConfigError("transfer.checkpoint is required in transfer mode")
-    out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     # evaluators are pure functions of (config, seed) and transfer_init
     # copies what it takes from the checkpoint, so every seed shares both
     tasks = build_evaluators(config)
@@ -196,6 +194,9 @@ def run_search_experiment(config: ExperimentConfig, mode: str = "search") -> Pat
                 raise ConfigError(
                     f"tasks: {name!r} is already a task of checkpoint {config.transfer_checkpoint}"
                 )
+    # only a run whose inputs all loaded leaves an output directory
+    out_dir = config.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     states = []
     artifacts = []
     for seed in config.seeds:
@@ -213,9 +214,9 @@ def run_search_experiment(config: ExperimentConfig, mode: str = "search") -> Pat
 
 def run_brute_force(config: ExperimentConfig) -> Path:
     """Exhaustive optimum per tabular task; writes brute_force.csv."""
+    tasks = build_evaluators(config)
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = build_evaluators(config)
     path = out_dir / "brute_force.csv"
     with open(path, "w", newline="") as f:
         w = _csv_writer(f)

@@ -6,12 +6,16 @@ of those wrappers here makes a deleted or moved name fail in the test
 suite, not only in a traced benchmark run. A short traced search then
 checks the benchmark's tie-outs, which also read argument positions and
 call counts; a short traced child-network search and a short traced
-transfer check them on the child-training and transfer paths.
+transfer check them on the child-training and transfer paths, and a
+traced search with critic steps that carry no gradient checks that those
+steps skip the LSTM backward.
 """
 
 import sys
 from pathlib import Path
 from time import perf_counter_ns
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -64,6 +68,49 @@ def test_traced_search_ties_out(tmp_path):
     metrics, problems = layers.layer_metrics(tracer, config, traced, traced.seconds)
     assert problems == []
     assert metrics["kernel.lstm_step.calls"][0] == 7 * (60 + 30)
+
+
+def test_traced_search_skips_the_lstm_backward_without_gradient(tmp_path, monkeypatch):
+    # one sample per iteration: the first critic step replays only the first
+    # event, whose advantage against its own fresh baseline is zero
+    workload = workloads.Workload(
+        "no-gradient-tie-out", "configs/planted-pair.yaml", {"total_iterations": 40}
+    )
+    config_path = workloads.write_config(workload, ROOT, tmp_path, 0)
+    config = modelsearch.config.load_experiment_config(config_path)
+    # the spy goes in before the tracer wraps the trainer, so it sees every
+    # critic step
+    active_rows = []
+    ppo = modelsearch.trainer.ppo_clipped_loss
+
+    def spy(*args):
+        loss, d_new = ppo(*args)
+        active_rows.append(int(np.any(d_new != 0.0, axis=1).sum()))
+        return loss, d_new
+
+    monkeypatch.setattr(modelsearch.trainer, "ppo_clipped_loss", spy)
+    out_dir = tmp_path / "traced"
+    tracer = tracing.Tracer()
+    argv = ["search", "--config", str(config_path), "--seed", "0", "--out", str(out_dir)]
+    with tracing.patched(tracer.wraps(modelsearch)):
+        start = perf_counter_ns()
+        code = modelsearch.cli.main(argv)
+        end = perf_counter_ns()
+    assert code == 0
+    with open(out_dir / "seed_0" / "events.csv") as f:
+        rows = sum(1 for _ in f) - 1
+    assert rows == 40
+    traced = run.Search(out_dir, start, end, completed=True, rows=rows)
+    _, problems = layers.layer_metrics(tracer, config, traced, traced.seconds)
+    assert problems == []
+    with_gradient = sum(n > 0 for n in active_rows)
+    assert len(active_rows) == 40 and 0 < with_gradient < 40
+    assert tracer.get("controller.policy_backward", in_loop=True).calls == len(active_rows)
+    backward_spans = sum(
+        st.calls for (name, in_loop), st in tracer.stats.items()
+        if in_loop and name.startswith("kernel.lstm_backward.")
+    )
+    assert backward_spans == with_gradient
 
 
 def test_traced_child_search_ties_out(tmp_path, monkeypatch):

@@ -3,16 +3,19 @@ import pytest
 
 from modelsearch.controller import (
     ControllerDims,
+    ControllerParams,
     action_distributions,
     add_task,
     exact_action_distributions,
     init_controller,
+    policy_backward,
     sample_batch,
     sample_sequence,
     sequence_log_probs,
     teacher_forced,
 )
 from modelsearch.errors import UnknownTask
+from modelsearch.kernel import lstm_sequence_backward
 from modelsearch.space import ParamSpec, SearchSpace, default_search_space
 
 TINY = SearchSpace([ParamSpec("a", (0, 1)), ParamSpec("b", ("x", "y", "z"))])
@@ -207,3 +210,80 @@ def test_add_task_preserves_existing_weights_and_distributions():
     s_before = sample_batch(params, np.zeros(20, dtype=np.int64), np.random.default_rng(5))[0]
     s_after = sample_batch(grown, np.zeros(20, dtype=np.int64), np.random.default_rng(5))[0]
     assert np.array_equal(s_before, s_after)
+
+
+def full_batch_policy_backward(params, fwd, d_log_probs):
+    """policy_backward as it was before it skipped rows: every row goes through."""
+    space = params.space
+    dims = params.dims
+    T = space.n_params
+    B = fwd.task_ids.shape[0]
+    grads = ControllerParams.zeros(space, dims, params.n_tasks)
+    rows = np.arange(B)
+    d_outputs = []
+    for t in range(T):
+        p = fwd.probs[t]
+        g = d_log_probs[:, t][:, None]
+        dlogits = -p * g
+        dlogits[rows, fwd.actions[:, t]] += d_log_probs[:, t]
+        w, _ = params.projection(t)
+        g_w, g_b = grads.projection(t)
+        g_w += fwd.hidden[t].T @ dlogits
+        g_b += dlogits.sum(axis=0)
+        d_outputs.append(dlogits @ w.T)
+    d_inputs = lstm_sequence_backward(
+        params.lstm_layers(), fwd.records, d_outputs, grads.lstm_layers()
+    )
+    A = dims.action_embed
+    d_task_total = np.zeros((B, dims.task_embed))
+    for t in range(T):
+        dx = d_inputs[t]
+        d_act = dx[:, :A]
+        d_task_total += dx[:, A:]
+        if t == 0:
+            grads.start_embedding()[...] += d_act.sum(axis=0)
+        else:
+            np.add.at(grads.action_table(t - 1), fwd.actions[:, t - 1], d_act)
+    np.add.at(grads.task_embeddings(), fwd.task_ids, d_task_total)
+    return grads.flat
+
+
+def batch20_pass(seed=0):
+    """A recorded batch-20 pass of the default controller, as the critic scores it."""
+    params = init_controller(default_search_space(), 3, seed)
+    rng = np.random.default_rng(seed)
+    task_ids = rng.integers(0, 3, 20)
+    actions, _ = sample_batch(params, task_ids, rng)
+    return params, teacher_forced(params, task_ids, actions), rng
+
+
+def test_backward_of_the_rows_with_gradient_matches_the_full_batch():
+    # the surrogate gives one value per sequence, repeated over its steps;
+    # a subset size that is a multiple of 4 is bitwise on some BLAS builds
+    params, fwd, rng = batch20_pass()
+    for k in range(1, 21):
+        d = np.zeros((20, params.space.n_params))
+        d[rng.choice(20, size=k, replace=False)] = rng.normal(size=(k, 1)) / 20
+        full = full_batch_policy_backward(params, fwd, d)
+        got = policy_backward(params, fwd, d)
+        assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(full)), k
+
+
+def test_backward_with_no_gradient_row_skips_the_lstm(monkeypatch):
+    from modelsearch import controller
+
+    params, fwd, _ = batch20_pass(1)
+    calls = []
+    monkeypatch.setattr(controller, "lstm_sequence_backward", lambda *a: calls.append(a))
+    grads = policy_backward(params, fwd, np.zeros((20, params.space.n_params)))
+    assert calls == []
+    assert grads.shape == params.flat.shape
+    assert not np.any(grads)
+
+
+def test_backward_with_every_row_active_is_the_full_batch_path():
+    params, fwd, rng = batch20_pass(2)
+    d = rng.normal(size=(20, 1)) * np.ones(params.space.n_params) / 20
+    assert np.array_equal(
+        policy_backward(params, fwd, d), full_batch_policy_backward(params, fwd, d)
+    )

@@ -320,6 +320,46 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys, old, new, prefix):
     assert not list(tmp_path.rglob("seed_*"))
 
 
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("ceiling: 0.9,", "ceiling: null,", "ceiling"),
+        ("ceiling: 0.9,", "ceiling: '0.9',", "ceiling"),
+        ("ceiling: 0.9,", "ceiling: true,", "ceiling"),
+        ("ceiling: 0.9,", "reward_scale: [1],", "reward_scale"),
+        (PLANTED_T0, "{kind: table_csv, path: t0.csv, noise_sigma: null}", "noise_sigma"),
+    ],
+    ids=["ceiling-null", "ceiling-string", "ceiling-bool", "reward_scale-list", "table-noise-null"],
+)
+@pytest.mark.parametrize("command", ["search", "brute-force"])
+def test_cli_rejects_evaluator_numbers_before_making_the_out_dir(
+    tmp_path, capsys, old, new, field, command
+):
+    (tmp_path / "t0.csv").write_text("index,accuracy\n" + "".join(f"{i},0.5\n" for i in range(6)))
+    cfg_path = write_config(tmp_path, SMALL_EXPERIMENT.replace(old, new, 1))
+    out = tmp_path / "x"
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: tasks[t0].evaluator.{field} must be a number, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault, code", [("reused task name", 1), ("malformed checkpoint", 2)])
+def test_cli_rejected_transfer_leaves_no_out_dir(tmp_path, capsys, fault, code):
+    cfg_path = write_config(tmp_path)
+    if fault == "reused task name":
+        pre = run_experiment(cfg_path, mode="search", seeds=[0], out_dir=tmp_path / "pre")
+        ckpt = pre / "seed_0" / "checkpoint.bin"
+    else:
+        ckpt = tmp_path / "bad.bin"
+        ckpt.write_bytes(b"not a checkpoint")
+    out = tmp_path / "tr"
+    argv = ["transfer", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--out", str(out)]
+    assert cli_main(argv) == code
+    assert capsys.readouterr().err.startswith("config error: " if code == 1 else "error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seeds", ["-1", "0,-3", ",", "x"])
 def test_cli_rejects_bad_seed_lists(tmp_path, capsys, seeds):
     cfg_path = write_config(tmp_path)
