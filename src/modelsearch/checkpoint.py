@@ -40,6 +40,7 @@ from .errors import (
     VersionMismatch,
 )
 from .optim import AdamState
+from .rules import POSITIVE_INT
 from .space import SearchSpace
 from .trainer import BaselineTable, ReplayBank, TrainerConfig, TrainerState, check_task_names
 
@@ -211,9 +212,7 @@ def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
     try:
         meta = json.loads(meta_b.decode())
         dims = ControllerDims(**meta["dims"])
-        n_tasks = meta["n_tasks"]
-        if isinstance(n_tasks, bool) or not isinstance(n_tasks, int) or n_tasks < 1:
-            raise ValueError(f"n_tasks must be an integer >= 1, got {n_tasks!r}")
+        n_tasks = POSITIVE_INT.check("n_tasks", meta["n_tasks"])
         cfg = TrainerConfig(**meta["trainer_config"])
         baselines = BaselineTable.from_dict(meta["baselines"], cfg.baseline_decay)
         task_names = _task_names(meta["registry"])

@@ -13,6 +13,7 @@ import sys
 
 from .errors import ConfigError, ModelSearchError
 from .harness import run_experiment
+from .rules import NON_NEGATIVE_INT
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -20,7 +21,7 @@ def _parse_seeds(text: str) -> list[int]:
         seeds = [int(s) for s in text.replace(" ", "").split(",") if s]
     except ValueError:
         seeds = []
-    if not seeds or min(seeds) < 0:
+    if not seeds or not all(map(NON_NEGATIVE_INT.holds, seeds)):
         raise ConfigError(
             f"--seed expects a comma-separated list of non-negative integers, got {text!r}"
         )

@@ -24,6 +24,7 @@ from .evaluators import (
     planted_table,
 )
 from .fixtures import toy_overlap, toy_separable
+from .rules import NON_NEGATIVE_INT, NUMBER, POSITIVE_INT
 from .space import SearchSpace, default_search_space, space_from_entries
 from .trainer import TrainerConfig
 
@@ -58,16 +59,8 @@ def curve_file_name(task: str) -> str:
     return f"curve_{task}.csv"
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _number(mapping: dict, key: str, default: float, where: str) -> float:
-    """``mapping[key]``, or the default, as a float; only an int or a float will do."""
-    v = mapping.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
+def _number(mapping: dict, key: str, default: float, where: str):
+    return NUMBER.check(f"{where}.{key}", mapping.get(key, default), ConfigError)
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -76,10 +69,23 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _check_keys(mapping: dict, allowed: set, where: str):
+def _check_keys(mapping, allowed: set, where: str) -> dict:
+    """``mapping`` itself, if it is a mapping holding only ``allowed`` keys."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where or 'config root'} must be a mapping, got {mapping!r}")
     for k in mapping:
         if k not in allowed:
             raise ConfigError(f"unknown field {where}.{k}" if where else f"unknown field {k}")
+    return mapping
+
+
+def _load_block(raw: dict, key: str, cls):
+    """Dataclass ``cls`` from the optional block ``raw[key]``, which names its errors."""
+    block = _check_keys(raw.get(key, {}), {f.name for f in dataclasses.fields(cls)}, key)
+    try:
+        return cls(**block)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from e
 
 
 def _parse_space(raw, where: str) -> SearchSpace:
@@ -87,15 +93,16 @@ def _parse_space(raw, where: str) -> SearchSpace:
         return default_search_space()
     if not isinstance(raw, list):
         raise ConfigError(f"{where} must be 'default' or a list of parameters")
-    entries = []
     for i, e in enumerate(raw):
         if not isinstance(e, dict) or "name" not in e or "choices" not in e:
             raise ConfigError(f"{where}[{i}] needs 'name' and 'choices'")
         if not isinstance(e["choices"], list) or not e["choices"]:
             raise ConfigError(f"{where}[{i}].choices must be a non-empty list")
-        entries.append(e)
+        for j, c in enumerate(e["choices"]):
+            if c is not None and not isinstance(c, (bool, int, float, str)):
+                raise ConfigError(f"{where}[{i}].choices[{j}] must be a scalar, got {c!r}")
     try:
-        return space_from_entries(entries)
+        return space_from_entries(raw)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -108,8 +115,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except yaml.YAMLError as e:
         raise ConfigError(f"config {path} is not valid YAML: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
     return parse_experiment_config(raw, base_dir=path.parent)
 
 
@@ -139,7 +144,7 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
 
     seeds = raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or not all(
-        _is_int(s) and s >= 0 for s in seeds
+        map(NON_NEGATIVE_INT.holds, seeds)
     ):
         raise ConfigError("seeds must be a non-empty list of non-negative integers")
 
@@ -147,24 +152,8 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
 
     space = _parse_space(_require(raw, "search_space", ""), "search_space")
 
-    dims_raw = raw.get("controller", {})
-    _check_keys(
-        dims_raw,
-        {"hidden_size", "action_embed", "task_embed", "num_layers"},
-        "controller",
-    )
-    try:
-        dims = ControllerDims(**dims_raw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"controller: {e}") from e
-
-    trainer_raw = raw.get("trainer", {})
-    allowed = {f.name for f in dataclasses.fields(TrainerConfig)}
-    _check_keys(trainer_raw, allowed, "trainer")
-    try:
-        trainer = TrainerConfig(**trainer_raw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"trainer: {e}") from e
+    dims = _load_block(raw, "controller", ControllerDims)
+    trainer = _load_block(raw, "trainer", TrainerConfig)
 
     tasks_raw = _require(raw, "tasks", "")
     if not isinstance(tasks_raw, list) or not tasks_raw:
@@ -172,8 +161,6 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
     tasks = []
     for i, t in enumerate(tasks_raw):
         where = f"tasks[{i}]"
-        if not isinstance(t, dict):
-            raise ConfigError(f"{where} must be a mapping")
         _check_keys(t, {"name", "evaluator"}, where)
         tname = str(_require(t, "name", where))
         # the name becomes part of an artifact's file name (curve_<task>.csv)
@@ -197,8 +184,7 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
     if len({t.name for t in tasks}) != len(tasks):
         raise ConfigError("tasks: duplicate task names")
 
-    transfer_raw = raw.get("transfer", {})
-    _check_keys(transfer_raw, {"checkpoint"}, "transfer")
+    transfer_raw = _check_keys(raw.get("transfer", {}), {"checkpoint"}, "transfer")
     transfer_checkpoint = (
         base_dir / str(transfer_raw["checkpoint"]) if "checkpoint" in transfer_raw else None
     )
@@ -206,8 +192,7 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
         raise ConfigError("transfer.checkpoint is required in transfer mode")
 
     heatmap_samples = raw.get("heatmap_samples", 10_000)
-    if not _is_int(heatmap_samples) or heatmap_samples < 1:
-        raise ConfigError(f"heatmap_samples must be an integer >= 1, got {heatmap_samples!r}")
+    POSITIVE_INT.check("heatmap_samples", heatmap_samples, ConfigError)
 
     return ExperimentConfig(
         name=name,
@@ -239,40 +224,27 @@ def build_evaluator(space: SearchSpace, task: TaskSpec, base_dir=Path(".")) -> E
                 raise ConfigError(f"{where}.optimum misses parameter {e}") from e
             except ModelSearchError as e:
                 raise ConfigError(f"{where}.optimum: {e}") from e
-        elif isinstance(optimum, list) and all(_is_int(a) for a in optimum):
+        elif isinstance(optimum, list) and all(map(NON_NEGATIVE_INT.holds, optimum)):
             actions = tuple(optimum)
         else:
             raise ConfigError(f"{where}.optimum must be a list of indices or a mapping")
         ceiling = _number(ev, "ceiling", 0.95, where)
         falloff = _number(ev, "falloff", 0.9, where)
-        noise_sigma = _number(ev, "noise_sigma", 0.0, where)
-        reward_scale = _number(ev, "reward_scale", 1.0, where)
         try:
-            table = planted_table(space, actions, ceiling=ceiling, falloff=falloff)
-            table = OracleTable(
-                space, table.accuracies, noise_sigma=noise_sigma, reward_scale=reward_scale
-            )
+            accuracies = planted_table(space, actions, ceiling=ceiling, falloff=falloff).accuracies
         except (ValueError, ModelSearchError) as e:
             raise ConfigError(f"{where}: {e}") from e
-        return binding_from_table(task.name, table)
-    if kind == "table_csv":
+    elif kind == "table_csv":
         _check_keys(ev, {"path", "noise_sigma", "reward_scale"}, where)
         path = base_dir / str(_require(ev, "path", where))
-        noise_sigma = _number(ev, "noise_sigma", 0.0, where)
-        reward_scale = _number(ev, "reward_scale", 1.0, where)
         try:
-            table = OracleTable.from_csv(
-                path, space, noise_sigma=noise_sigma, reward_scale=reward_scale
-            )
+            accuracies = OracleTable.from_csv(path, space).accuracies
         except (OSError, ValueError) as e:
             raise ConfigError(f"{where}.path: {e}") from e
-        return binding_from_table(task.name, table)
-    if kind == "child_network":
+    elif kind == "child_network":
         _check_keys(ev, {"dataset", "seed"}, where)
         dataset = str(ev.get("dataset", "separable"))
-        seed = ev.get("seed")
-        if seed is not None and not (_is_int(seed) and seed >= 0):
-            raise ConfigError(f"{where}.seed must be an integer >= 0, got {seed!r}")
+        seed = NON_NEGATIVE_INT.or_null().check(f"{where}.seed", ev.get("seed"), ConfigError)
         if dataset == "separable":
             toy = toy_separable() if seed is None else toy_separable(seed)
         elif dataset == "overlap":
@@ -280,7 +252,14 @@ def build_evaluator(space: SearchSpace, task: TaskSpec, base_dir=Path(".")) -> E
         else:
             raise ConfigError(f"{where}.dataset must be 'separable' or 'overlap'")
         return binding_from_child_task(task.name, toy)
-    raise ConfigError(f"{where}.kind: unknown evaluator kind {kind!r}")
+    else:
+        raise ConfigError(f"{where}.kind: unknown evaluator kind {kind!r}")
+    # both table kinds take evaluation noise and a reward scale
+    noise = {k: _number(ev, k, d, where) for k, d in (("noise_sigma", 0.0), ("reward_scale", 1.0))}
+    try:
+        return binding_from_table(task.name, OracleTable(space, accuracies, **noise))
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def build_evaluators(config: ExperimentConfig) -> list[tuple[str, EvaluatorBinding]]:

@@ -13,7 +13,7 @@ projection because positions have disjoint choice vocabularies.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .kernel import (
     softmax,
 )
 from .parameters import FlatParams, ParamLayout
+from .rules import POSITIVE_INT, check_fields
 from .space import SearchSpace
 
 INIT_RANGE = 0.08  # all weights start uniform in [-INIT_RANGE, INIT_RANGE]
@@ -41,15 +42,13 @@ EXACT_CHUNK = 4096
 class ControllerDims:
     """Structural sizes of the controller RNN."""
 
-    hidden_size: int = 50
-    action_embed: int = 25
-    task_embed: int = 25
-    num_layers: int = 2
+    hidden_size: int = field(default=50, metadata={"rule": POSITIVE_INT})
+    action_embed: int = field(default=25, metadata={"rule": POSITIVE_INT})
+    task_embed: int = field(default=25, metadata={"rule": POSITIVE_INT})
+    num_layers: int = field(default=2, metadata={"rule": POSITIVE_INT})
 
     def __post_init__(self):
-        for name, v in vars(self).items():
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        check_fields(self)
 
     @property
     def input_size(self) -> int:
@@ -144,8 +143,7 @@ def init_controller(
     dims: ControllerDims = ControllerDims(),
 ) -> ControllerParams:
     """Fresh controller with every weight drawn uniform in +-INIT_RANGE."""
-    if n_tasks < 1:
-        raise ValueError("need at least one task")
+    POSITIVE_INT.check("n_tasks", n_tasks)
     rng = np.random.default_rng(seed_or_rng)
     layout = _build_layout(space, dims, n_tasks)
     flat = rng.uniform(-INIT_RANGE, INIT_RANGE, size=layout.total_size)
@@ -404,8 +402,7 @@ def action_distributions(
     Returns one probability vector per search-space parameter; each sums
     to 1 over that parameter's choices.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    POSITIVE_INT.check("n_samples", n_samples)
     task_ids = np.full(int(n_samples), int(task_id), dtype=np.int64)
     actions, _ = sample_batch(params, task_ids, rng)
     out = []

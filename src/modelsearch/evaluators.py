@@ -31,6 +31,7 @@ from .errors import (
 from .kernel import log_softmax, softmax
 from .optim import adagrad_l2_update
 from .parameters import FlatParams, ParamLayout
+from .rules import FRACTION
 from .space import ModelConfig, SearchSpace
 
 
@@ -77,8 +78,8 @@ class OracleTable:
             )
         if np.any(accuracies < 0.0) or np.any(accuracies > 1.0):
             raise ValueError("accuracies must lie in [0, 1]")
-        if noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 <= noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma!r}")
         if not 0.0 < reward_scale < np.inf:
             raise ValueError(f"reward_scale must be a positive number, got {reward_scale!r}")
         self.space = space
@@ -104,7 +105,7 @@ class OracleTable:
                 w.writerow([i, repr(float(a))])
 
     @classmethod
-    def from_csv(cls, path, space: SearchSpace, **kwargs) -> "OracleTable":
+    def from_csv(cls, path, space: SearchSpace) -> "OracleTable":
         """Table from ``index,accuracy`` rows, one per configuration rank.
 
         A missing column, an index that is not an integer, lies outside the
@@ -135,7 +136,7 @@ class OracleTable:
         if np.any(np.isnan(acc)):
             missing = int(np.isnan(acc).sum())
             raise ValueError(f"table at {path} misses {missing} configs")
-        return cls(space, acc, **kwargs)
+        return cls(space, acc)
 
 
 def tabular_evaluate(table: OracleTable, config: ModelConfig, seed: int) -> float:
@@ -185,8 +186,7 @@ def planted_table(
     optimum = space.validate_actions(optimum_actions)
     if not 0.0 < ceiling <= 1.0:
         raise ValueError("ceiling must lie in (0, 1]")
-    if not 0.0 < falloff < 1.0:
-        raise ValueError("falloff must lie in (0, 1)")
+    FRACTION.check("falloff", falloff)
     acc = np.empty(space.cardinality())
     for rank, actions in enumerate(space.enumerate_actions()):
         dist = sum(abs(a - o) for a, o in zip(actions, optimum))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .errors import (
     UnknownTask,
 )
 from .optim import AdamState, adaptive_update, clip_global_norm, polyak_average
+from .rules import FRACTION, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, check_fields
 from .space import SearchSpace
 
 log = logging.getLogger(__name__)
@@ -46,48 +47,21 @@ log = logging.getLogger(__name__)
 class TrainerConfig:
     """Training hyperparameters; defaults follow the reference setup."""
 
-    batch_size: int = 20
-    critic_lr: float = 5e-4
-    steps_per_sync: int = 25
-    polyak_keep: float = 0.9
-    clip_epsilon: float = 0.2
-    replay_capacity: int = 1000
-    baseline_decay: float = 0.95
-    samples_per_iteration: int = 1
-    total_iterations: int = 2000
-    baseline_floor: float = 1e-3
-    grad_clip_norm: float | None = 5.0
-    critic_steps_per_iteration: int = 1
+    batch_size: int = field(default=20, metadata={"rule": POSITIVE_INT})
+    critic_lr: float = field(default=5e-4, metadata={"rule": POSITIVE})
+    steps_per_sync: int = field(default=25, metadata={"rule": POSITIVE_INT})
+    polyak_keep: float = field(default=0.9, metadata={"rule": FRACTION})
+    clip_epsilon: float = field(default=0.2, metadata={"rule": FRACTION})
+    replay_capacity: int = field(default=1000, metadata={"rule": POSITIVE_INT})
+    baseline_decay: float = field(default=0.95, metadata={"rule": FRACTION})
+    samples_per_iteration: int = field(default=1, metadata={"rule": POSITIVE_INT})
+    total_iterations: int = field(default=2000, metadata={"rule": NON_NEGATIVE_INT})
+    baseline_floor: float = field(default=1e-3, metadata={"rule": POSITIVE})
+    grad_clip_norm: float | None = field(default=5.0, metadata={"rule": POSITIVE.or_null()})
+    critic_steps_per_iteration: int = field(default=1, metadata={"rule": POSITIVE_INT})
 
     def __post_init__(self):
-        # the annotations say which fields count things and which are real
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None and f.type == "float | None":
-                continue
-            kind = int if f.type == "int" else (int, float)
-            if isinstance(v, bool) or not isinstance(v, kind):
-                what = "an integer" if kind is int else "a number"
-                raise TypeError(f"{f.name} must be {what}, got {v!r}")
-        for name in (
-            "batch_size",
-            "critic_lr",
-            "steps_per_sync",
-            "replay_capacity",
-            "samples_per_iteration",
-            "critic_steps_per_iteration",
-            "baseline_floor",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.total_iterations < 0:
-            raise ValueError("total_iterations must be >= 0")
-        if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
-            raise ValueError("grad_clip_norm must be null or positive")
-        for name in ("polyak_keep", "clip_epsilon", "baseline_decay"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
+        check_fields(self)
 
 
 @dataclass
@@ -108,9 +82,7 @@ class ReplayBank:
     """Bounded FIFO of Events with uniform sampling (with replacement)."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+        self.capacity = POSITIVE_INT.check("capacity", capacity)
         self._items: deque[Event] = deque(maxlen=capacity)
 
     def push(self, event: Event):
@@ -133,9 +105,7 @@ class BaselineTable:
     """Per-task exponential moving average of rewards, one decay for all."""
 
     def __init__(self, decay: float = 0.95):
-        if not 0.0 < decay < 1.0:
-            raise ValueError("decay must lie in (0, 1)")
-        self.decay = decay
+        self.decay = FRACTION.check("decay", decay)
         self._values: dict[int, float] = {}
 
     def update(self, task_id: int, reward: float) -> "BaselineTable":
@@ -255,8 +225,6 @@ def build_state(
     dims: ControllerDims = ControllerDims(),
 ) -> TrainerState:
     """Fresh trainer state. ``tasks`` is a list of (name, evaluator) pairs."""
-    if len(tasks) < 1:
-        raise ValueError("need at least one task")
     task_names = check_task_names(str(name) for name, _ in tasks)
     evaluators = {tid: evaluator for tid, (_, evaluator) in enumerate(tasks)}
     rng = np.random.default_rng(seed_or_rng)

@@ -344,6 +344,53 @@ def test_cli_rejects_evaluator_numbers_before_making_the_out_dir(
     assert not out.exists()
 
 
+TRAINER_BLOCK = "trainer:\n  total_iterations: 40\n  replay_capacity: 50\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (TRAINER_BLOCK, "trainer:\n", "trainer must be a mapping, got None"),
+        (
+            "controller: {hidden_size: 8, action_embed: 4, task_embed: 4}",
+            "controller: 5",
+            "controller must be a mapping, got 5",
+        ),
+        ("out_dir: out", "out_dir: out\ntransfer: 5", "transfer must be a mapping, got 5"),
+        ("choices: [0, 1]", "choices: [[1], [2]]", "search_space[0].choices[0] must be a scalar"),
+        ("choices: [0, 1]", "choices: [{x: 1}, 2]", "search_space[0].choices[0] must be a scalar"),
+        ("ceiling: 0.9,", "noise_sigma: .nan,", "tasks[t0].evaluator: noise_sigma"),
+        ("ceiling: 0.9,", "noise_sigma: .inf,", "tasks[t0].evaluator: noise_sigma"),
+        (
+            PLANTED_T0,
+            "{kind: table_csv, path: t0.csv, noise_sigma: .nan}",
+            "tasks[t0].evaluator: noise_sigma",
+        ),
+    ],
+    ids=[
+        "trainer-null",
+        "controller-int",
+        "transfer-int",
+        "choice-list",
+        "choice-mapping",
+        "noise-nan",
+        "noise-inf",
+        "table-noise-nan",
+    ],
+)
+@pytest.mark.parametrize("command", ["search", "brute-force"])
+def test_cli_rejects_malformed_blocks_and_values_without_an_out_dir(
+    tmp_path, capsys, old, new, message, command
+):
+    assert old in SMALL_EXPERIMENT
+    (tmp_path / "t0.csv").write_text("index,accuracy\n" + "".join(f"{i},0.5\n" for i in range(6)))
+    cfg_path = write_config(tmp_path, SMALL_EXPERIMENT.replace(old, new, 1))
+    out = tmp_path / "x"
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fault, code", [("reused task name", 1), ("malformed checkpoint", 2)])
 def test_cli_rejected_transfer_leaves_no_out_dir(tmp_path, capsys, fault, code):
     cfg_path = write_config(tmp_path)
