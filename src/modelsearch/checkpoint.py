@@ -262,8 +262,9 @@ def transfer_init(
     tasks are uninitialized. Only the new tasks get evaluators, so task
     sampling only visits them; the pre-training tasks keep their rows and
     names. Optimizer moments are reset (fresh task distribution). Nothing
-    in ``checkpoint`` is modified, so one loaded checkpoint can seed many
-    transfers.
+    in ``checkpoint`` is modified: ``add_task`` puts the weights into new
+    arrays, which the search then updates in place, so one loaded
+    checkpoint can seed many transfers.
     """
     rng = np.random.default_rng(seed_or_rng)
     cfg = config if config is not None else checkpoint.config

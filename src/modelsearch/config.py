@@ -88,6 +88,13 @@ def _load_block(raw: dict, key: str, cls):
         raise ConfigError(f"{key}: {e}") from e
 
 
+def check_seeds(seeds) -> list[int]:
+    """``seeds`` itself, if it is a non-empty list of non-negative integers."""
+    if not isinstance(seeds, list) or not seeds or not all(map(NON_NEGATIVE_INT.holds, seeds)):
+        raise ConfigError("seeds must be a non-empty list of non-negative integers")
+    return seeds
+
+
 def _parse_space(raw, where: str) -> SearchSpace:
     if raw == "default":
         return default_search_space()
@@ -96,6 +103,7 @@ def _parse_space(raw, where: str) -> SearchSpace:
     for i, e in enumerate(raw):
         if not isinstance(e, dict) or "name" not in e or "choices" not in e:
             raise ConfigError(f"{where}[{i}] needs 'name' and 'choices'")
+        _check_keys(e, {"name", "choices"}, f"{where}[{i}]")
         if not isinstance(e["choices"], list) or not e["choices"]:
             raise ConfigError(f"{where}[{i}].choices must be a non-empty list")
         for j, c in enumerate(e["choices"]):
@@ -142,11 +150,7 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
     if mode is not None and mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
-    seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(
-        map(NON_NEGATIVE_INT.holds, seeds)
-    ):
-        raise ConfigError("seeds must be a non-empty list of non-negative integers")
+    seeds = check_seeds(raw.get("seeds", [0]))
 
     out_dir = base_dir / str(raw.get("out_dir", f"runs/{name}"))
 

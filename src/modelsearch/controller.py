@@ -20,7 +20,6 @@ import numpy as np
 from .errors import IndexOutOfRange, LengthMismatch, UnknownTask
 from .kernel import (
     LstmLayerParams,
-    LstmStepRecord,
     log_softmax,
     lstm_sequence_backward,
     lstm_step_record,
@@ -55,7 +54,7 @@ class ControllerDims:
         return self.action_embed + self.task_embed
 
 
-# every snapshot of one controller shape shares this layout; nothing mutates it
+# every controller of one shape shares this layout; nothing mutates it
 @functools.lru_cache
 def _build_layout(space: SearchSpace, dims: ControllerDims, n_tasks: int) -> ParamLayout:
     entries = []
@@ -75,11 +74,10 @@ def _build_layout(space: SearchSpace, dims: ControllerDims, n_tasks: int) -> Par
 
 
 class ControllerParams(FlatParams):
-    """All learnable controller weights in one flat vector.
+    """The weights of one controller, in one flat vector.
 
-    Treated as an immutable snapshot: optimizer steps and Polyak blends
-    construct new instances, so concurrent samplers can keep reading an
-    old snapshot safely.
+    A search updates ``flat`` in place; copy it to keep the weights of a
+    moment.
     """
 
     __slots__ = ("space", "dims", "n_tasks")
@@ -113,7 +111,7 @@ class ControllerParams(FlatParams):
     def task_embeddings(self) -> np.ndarray:
         return self.get("task_embeddings")
 
-    # -- snapshots -------------------------------------------------------
+    # -- construction ----------------------------------------------------
     @classmethod
     def zeros(
         cls, space: SearchSpace, dims: ControllerDims, n_tasks: int
@@ -153,9 +151,9 @@ def init_controller(
 def add_task(params: ControllerParams, rng) -> tuple[ControllerParams, int]:
     """Grow the task-embedding table by one fresh row; other weights reused.
 
-    Returns the new parameter snapshot and the new task id (its row index).
-    The new row is drawn uniform in +-INIT_RANGE; every pre-existing weight
-    is carried over bitwise.
+    Returns new parameters in new arrays and the new task id (its row
+    index); ``params`` is left as it is. The new row is drawn uniform in
+    +-INIT_RANGE; every pre-existing weight is carried over bitwise.
     """
     new_id = params.n_tasks
     new_row = rng.uniform(-INIT_RANGE, INIT_RANGE, size=params.dims.task_embed)
@@ -190,26 +188,13 @@ class ForwardPass:
 
     def rows(self, idx: np.ndarray) -> "ForwardPass":
         """The pass restricted to the rows ``idx``; every array is copied once."""
-
-        def take(a):
-            return a.take(idx, axis=0)
-
         return ForwardPass(
-            task_ids=take(self.task_ids),
-            actions=take(self.actions),
-            log_probs=take(self.log_probs),
-            probs=[take(p) for p in self.probs],
-            hidden=[take(h) for h in self.hidden],
-            records=[
-                [
-                    LstmStepRecord(
-                        take(r.x), take(r.h_prev), take(r.c_prev), take(r.i),
-                        take(r.f), take(r.g), take(r.o), take(r.tc),
-                    )
-                    for r in step
-                ]
-                for step in self.records
-            ],
+            task_ids=self.task_ids.take(idx, axis=0),
+            actions=self.actions.take(idx, axis=0),
+            log_probs=self.log_probs.take(idx, axis=0),
+            probs=[p.take(idx, axis=0) for p in self.probs],
+            hidden=[h.take(idx, axis=0) for h in self.hidden],
+            records=[[r.take(idx) for r in step] for step in self.records],
         )
 
 

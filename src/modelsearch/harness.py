@@ -25,7 +25,14 @@ from .checkpoint import (
     task_embedding_correlations,
     transfer_init,
 )
-from .config import ExperimentConfig, build_evaluators, curve_file_name, load_experiment_config
+from .config import (
+    MODES,
+    ExperimentConfig,
+    build_evaluators,
+    check_seeds,
+    curve_file_name,
+    load_experiment_config,
+)
 from .controller import (
     EXACT_ENUMERATION_LIMIT,
     action_distributions,
@@ -330,8 +337,11 @@ def run_experiment(
     """Entry point behind the CLI; returns the output directory.
 
     ``mode`` must be one of search, transfer, brute-force, report. CLI
-    flags override the corresponding config fields.
+    flags override the corresponding config fields. A bad ``mode`` or
+    ``seeds`` raises ConfigError before anything is written.
     """
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "report":
         if not report_dirs or len(report_dirs) < 2:
             raise ConfigError("report mode needs at least two run directories")
@@ -348,7 +358,7 @@ def run_experiment(
     if config.mode is not None and config.mode != mode:
         raise ConfigError(f"mode: config declares {config.mode!r} but {mode!r} was requested")
     if seeds is not None:
-        config.seeds = seeds
+        config.seeds = check_seeds(seeds)
     if out_dir is not None:
         config.out_dir = Path(out_dir)
     if checkpoint is not None:

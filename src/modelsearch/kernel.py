@@ -16,7 +16,7 @@ candidate takes ``tanh`` of its pre-activation instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,6 +85,10 @@ class LstmStepRecord:
     g: np.ndarray
     o: np.ndarray
     tc: np.ndarray  # tanh(c)
+
+    def take(self, idx) -> "LstmStepRecord":
+        """The record restricted to the rows ``idx``; every array is copied once."""
+        return LstmStepRecord(*(getattr(self, f.name).take(idx, axis=0) for f in fields(self)))
 
 
 def _layer_forward(p: LstmLayerParams, x, h_prev, c_prev):

@@ -4,10 +4,9 @@ Adam-style adaptive updates drive the controller, Adagrad with an L2 term
 folded into the gradient drives child networks, and Polyak averaging blends
 the actor/critic controller pair at sync boundaries.
 
-Adam and Adagrad update the optimizer state they are given in place (Adam
-its moments, Adagrad its accumulator and the child parameters) and return
-it. Adam returns new controller weights, because controller snapshots are
-immutable. Polyak averaging and clipping return new arrays.
+Adam, Adagrad and Polyak averaging update the arrays they are given in
+place (the weights, and Adam's moments or Adagrad's accumulator) and
+return them. Clipping returns a value and leaves its input alone.
 """
 
 from __future__ import annotations
@@ -39,10 +38,10 @@ def adaptive_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
-    """Bias-corrected Adam step; returns (new params, ``state``).
+    """Bias-corrected Adam step; returns (params, state).
 
-    ``state.m``, ``state.v`` and ``state.step`` are updated in place, and
-    only after the gradient has passed its checks.
+    ``params``, ``state.m``, ``state.v`` and ``state.step`` are updated in
+    place, and only after the gradient has passed its checks.
     """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -70,7 +69,8 @@ def adaptive_update(
     np.divide(state.m, 1.0 - beta1**t, out=tmp)
     tmp *= learning_rate
     tmp /= denom
-    return params - tmp, state
+    params -= tmp
+    return params, state
 
 
 def adagrad_l2_update(
@@ -112,18 +112,21 @@ def adagrad_l2_update(
 
 
 def polyak_average(weights_a: np.ndarray, weights_b: np.ndarray, keep: float) -> np.ndarray:
-    """Elementwise keep * a + (1 - keep) * b."""
+    """Write keep * a + (1 - keep) * b into ``weights_a`` and return it."""
     a = np.asarray(weights_a, dtype=np.float64)
     b = np.asarray(weights_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeMismatch(f"{a.shape} vs {b.shape}")
     if not 0.0 <= keep <= 1.0:
         raise ValueError("keep must lie in [0, 1]")
-    if keep == 1.0:
-        return a.copy()
     if keep == 0.0:
-        return b.copy()
-    return keep * a + (1.0 - keep) * b
+        a[...] = b
+    elif keep != 1.0:
+        # (1 - keep) * b first, so that b may be a itself
+        tmp = np.multiply(b, 1.0 - keep)
+        a *= keep
+        a += tmp
+    return a
 
 
 def clip_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:

@@ -11,6 +11,10 @@ controller takes one clipped off-policy policy-gradient step on a replay
 batch. Every ``steps_per_sync`` critic steps the actor is pulled toward
 the critic by Polyak averaging, keeping a slow-moving behavior policy
 while the critic trains off-policy.
+
+The state owns its controllers' weights: the Adam step writes the
+critic's flat vector in place and the Polyak blend writes the actor's.
+Nothing keeps old weights; an event keeps only its own log-probs.
 """
 
 from __future__ import annotations
@@ -261,7 +265,7 @@ def draw_task(evaluators: dict, rng) -> int:
 
 
 def _critic_step(state: TrainerState, rng) -> float | None:
-    """One PPO gradient step on a replay batch; returns the loss."""
+    """One PPO gradient step on a replay batch, in place; returns the loss."""
     cfg = state.config
     if len(state.replay) == 0:
         return None
@@ -279,15 +283,10 @@ def _critic_step(state: TrainerState, rng) -> float | None:
     grads = policy_backward(state.critic, fwd, d_lp)
     if cfg.grad_clip_norm is not None:
         grads = clip_global_norm(grads, cfg.grad_clip_norm)
-    new_flat, state.adam = adaptive_update(
-        state.critic.flat, grads, state.adam, cfg.critic_lr
-    )
-    state.critic = state.critic.with_flat(new_flat)
+    adaptive_update(state.critic.flat, grads, state.adam, cfg.critic_lr)
     state.critic_steps += 1
     if state.critic_steps % cfg.steps_per_sync == 0:
-        state.actor = state.actor.with_flat(
-            polyak_average(state.actor.flat, state.critic.flat, cfg.polyak_keep)
-        )
+        polyak_average(state.actor.flat, state.critic.flat, cfg.polyak_keep)
     return loss
 
 

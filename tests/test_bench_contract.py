@@ -68,6 +68,7 @@ def test_traced_search_ties_out(tmp_path):
     metrics, problems = layers.layer_metrics(tracer, config, traced, traced.seconds)
     assert problems == []
     assert metrics["kernel.lstm_step.calls"][0] == 7 * (60 + 30)
+    assert metrics["parameters.with_flat.calls"][0] == 0
 
 
 def test_traced_search_skips_the_lstm_backward_without_gradient(tmp_path, monkeypatch):

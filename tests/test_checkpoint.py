@@ -361,6 +361,32 @@ def test_transfer_registers_new_tasks_active_old_inactive(tmp_path):
     )
 
 
+def test_transfer_search_leaves_the_checkpoint_untouched(tmp_path):
+    # every seed of a transfer experiment starts from one loaded checkpoint
+    _, ckpt, new_tasks = transfer_setup(tmp_path)
+    at_load = [ckpt.actor.flat.copy(), ckpt.critic.flat.copy()]
+    baselines_at_load = ckpt.baselines.as_dict()
+    cfg = TrainerConfig(total_iterations=30, steps_per_sync=5)
+    state = transfer_init(ckpt, new_tasks, np.random.default_rng(1), config=cfg)
+    run_state(state, np.random.default_rng(1))
+    assert state.critic_steps == 30
+    assert not np.array_equal(state.actor.flat[: at_load[0].size], at_load[0])
+    for now, before in zip([ckpt.actor.flat, ckpt.critic.flat], at_load):
+        assert np.array_equal(now.view(np.int64), before.view(np.int64))
+    assert ckpt.baselines.as_dict() == baselines_at_load
+
+
+@pytest.mark.parametrize("start", ["build_state", "transfer_init"])
+def test_controllers_and_checkpoint_share_no_memory(tmp_path, start):
+    state, ckpt, new_tasks = transfer_setup(tmp_path)
+    if start == "transfer_init":
+        state = transfer_init(ckpt, new_tasks, np.random.default_rng(1))
+    arrays = [state.actor.flat, state.critic.flat, ckpt.actor.flat, ckpt.critic.flat]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
 def test_transfer_rejects_a_task_name_the_checkpoint_has(tmp_path):
     _, ckpt, new_tasks = transfer_setup(tmp_path)
     clash = [new_tasks[0], ("beta", new_tasks[1][1])]

@@ -7,7 +7,7 @@ import pytest
 
 from modelsearch.checkpoint import TIMESTAMP_OFFSET, TIMESTAMP_SIZE
 from modelsearch.cli import main as cli_main
-from modelsearch.errors import MissingLog
+from modelsearch.errors import ConfigError, MissingLog
 from modelsearch.harness import read_event_log, report_compare, run_experiment
 
 SMALL_EXPERIMENT = """
@@ -366,6 +366,11 @@ TRAINER_BLOCK = "trainer:\n  total_iterations: 40\n  replay_capacity: 50\n"
             "{kind: table_csv, path: t0.csv, noise_sigma: .nan}",
             "tasks[t0].evaluator: noise_sigma",
         ),
+        (
+            "choices: [0, 1]}",
+            "choices: [0, 1], choises: [5]}",
+            "unknown field search_space[0].choises",
+        ),
     ],
     ids=[
         "trainer-null",
@@ -376,6 +381,7 @@ TRAINER_BLOCK = "trainer:\n  total_iterations: 40\n  replay_capacity: 50\n"
         "noise-nan",
         "noise-inf",
         "table-noise-nan",
+        "space-unknown-key",
     ],
 )
 @pytest.mark.parametrize("command", ["search", "brute-force"])
@@ -413,6 +419,20 @@ def test_cli_rejects_bad_seed_lists(tmp_path, capsys, seeds):
     argv = ["search", "--config", str(cfg_path), "--seed", seeds, "--out", str(tmp_path / "x")]
     assert cli_main(argv) == 1
     assert capsys.readouterr().err.startswith("config error: --seed")
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"seeds": [-1]}, {"seeds": [True]}, {"seeds": [1.5]}, {"seeds": []}, {"mode": "serch"}],
+    ids=["seed-negative", "seed-bool", "seed-float", "seeds-empty", "mode-misspelt"],
+)
+def test_run_experiment_rejects_bad_overrides_without_an_out_dir(tmp_path, override):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "x"
+    kwargs = {"mode": "search", **override}
+    with pytest.raises(ConfigError, match=next(iter(override))):
+        run_experiment(cfg_path, out_dir=out, **kwargs)
+    assert not out.exists()
 
 
 def test_cli_transfer_without_checkpoint_is_config_error(tmp_path):

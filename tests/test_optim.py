@@ -85,6 +85,36 @@ def test_in_place_updates_match_out_of_place_formulas_bitwise():
         assert np.array_equal(_bits(acc), _bits(ref_acc))
 
 
+def test_adam_updates_the_weights_it_is_given():
+    rng = np.random.default_rng(5)
+    n, lr = 64, 0.01
+    p = rng.normal(0, 1, n)
+    state = AdamState.zeros(n)
+    m, v = np.zeros(n), np.zeros(n)
+    for t in (1, 2, 3):
+        g = rng.normal(0, 1, n)
+        before = p.copy()
+        out, state = adaptive_update(p, g, state, lr)
+        assert out is p
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g**2
+        m_hat, v_hat = m / (1.0 - 0.9**t), v / (1.0 - 0.999**t)
+        expected = before - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert np.array_equal(_bits(p), _bits(expected))
+
+
+def test_adam_rejected_gradient_leaves_the_weights_untouched():
+    rng = np.random.default_rng(6)
+    p = rng.normal(0, 1, 4)
+    before = p.copy()
+    for bad in (np.nan, np.inf, -np.inf):
+        g = rng.normal(0, 1, 4)
+        g[1] = bad
+        with pytest.raises(NonFiniteGradient):
+            adaptive_update(p, g, AdamState.zeros(4), 0.01)
+    assert np.array_equal(_bits(p), _bits(before))
+
+
 def test_adam_stays_finite():
     rng = np.random.default_rng(0)
     p = rng.normal(0, 1, 10)
@@ -138,6 +168,20 @@ def test_polyak_endpoints_and_midpoint():
     assert np.allclose(polyak_average(np.array([1.0]), np.array([0.0]), 0.9), [0.9])
     with pytest.raises(ShapeMismatch):
         polyak_average(np.zeros(2), np.zeros(3), 0.5)
+
+
+@pytest.mark.parametrize("keep", [0.0, 0.3, 0.9, 1.0])
+def test_polyak_writes_into_its_first_argument(keep):
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(0, 1, 33), rng.normal(0, 1, 33)
+    a0, b0 = a.copy(), b.copy()
+    assert polyak_average(a, b, keep) is a
+    assert np.array_equal(_bits(a), _bits(keep * a0 + (1.0 - keep) * b0))
+    assert np.array_equal(_bits(b), _bits(b0))
+    # the blend of a with itself reads a before writing it
+    a1 = a.copy()
+    assert polyak_average(a, a, keep) is a
+    assert np.array_equal(_bits(a), _bits(keep * a1 + (1.0 - keep) * a1))
 
 
 @settings(max_examples=50)
