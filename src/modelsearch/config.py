@@ -89,9 +89,18 @@ def _load_block(raw: dict, key: str, cls):
 
 
 def check_seeds(seeds) -> list[int]:
-    """``seeds`` itself, if it is a non-empty list of non-negative integers."""
-    if not isinstance(seeds, list) or not seeds or not all(map(NON_NEGATIVE_INT.holds, seeds)):
-        raise ConfigError("seeds must be a non-empty list of non-negative integers")
+    """``seeds`` itself, if it is a non-empty list of distinct non-negative integers.
+
+    Each seed writes ``seed_<n>/``, so a repeated seed would overwrite its
+    own run and be counted twice in the aggregate artifacts.
+    """
+    if (
+        not isinstance(seeds, list)
+        or not seeds
+        or not all(map(NON_NEGATIVE_INT.holds, seeds))
+        or len(set(seeds)) < len(seeds)
+    ):
+        raise ConfigError("seeds must be a non-empty list of distinct non-negative integers")
     return seeds
 
 

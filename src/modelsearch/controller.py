@@ -31,10 +31,11 @@ from .space import SearchSpace
 
 INIT_RANGE = 0.08  # all weights start uniform in [-INIT_RANGE, INIT_RANGE]
 
-# exact marginals by enumeration are only attempted below this cardinality
+# exact marginals are only computed on spaces of at most this cardinality
 EXACT_ENUMERATION_LIMIT = 100_000
-# ... and score at most this many sequences per forward pass, bounding memory
-EXACT_CHUNK = 4096
+# ... and each LSTM step of the prefix expansion runs at most this many rows,
+# so the heatmap's memory stays below the training loop's
+EXACT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -398,25 +399,62 @@ def action_distributions(
 
 
 def exact_action_distributions(params: ControllerParams, task_id) -> list[np.ndarray]:
-    """Exact per-parameter marginals by enumerating every sequence.
+    """Exact per-parameter marginals by expanding the prefix tree level by level.
+
+    Level t holds every prefix of length t with its probability ``P``, the
+    row of its parent in level t-1 and the action it fed last. One LSTM step
+    per row gives the distribution ``p`` of the next action, so the marginal
+    of parameter t is ``P @ p``; the next level's prefixes have probability
+    ``P * p``. The last level is never expanded, so each sequence of the
+    space costs no LSTM step of its own. Each step runs at most EXACT_CHUNK
+    rows, gathering the parents' states by index.
 
     Only valid on spaces whose cardinality is at most
-    EXACT_ENUMERATION_LIMIT. Sequences are scored EXACT_CHUNK at a time.
+    EXACT_ENUMERATION_LIMIT. Raises UnknownTask for a bad ``task_id``.
     """
     space = params.space
     M = space.cardinality()
     if M > EXACT_ENUMERATION_LIMIT:
         raise ValueError(f"cardinality {M} too large for exact enumeration")
-    all_actions = np.array(list(space.enumerate_actions()), dtype=np.int64)
-    margs = [np.zeros(count) for count in space.choice_counts]
-    total = 0.0
-    for lo in range(0, M, EXACT_CHUNK):
-        actions = all_actions[lo : lo + EXACT_CHUNK]
-        task_ids = np.full(actions.shape[0], int(task_id), dtype=np.int64)
-        fwd = _forward(params, task_ids, actions=actions)
-        weights = np.exp(fwd.log_probs.sum(axis=1))
-        total += weights.sum()
-        for i, count in enumerate(space.choice_counts):
-            margs[i] += np.bincount(actions[:, i], weights=weights, minlength=count)
-    return [marg / total for marg in margs]
-
+    dims = params.dims
+    layers = params.lstm_layers()
+    task_e = params.task_embeddings()[params.check_tasks(task_id)]
+    h0 = np.zeros((1, dims.hidden_size))
+    state = [(h0, h0)] * dims.num_layers  # the parent level's (h, c) per layer
+    P = np.ones(1)
+    parent = np.zeros(1, dtype=np.int64)
+    acts = np.zeros(1, dtype=np.int64)  # row 0 of the start embedding's table
+    T = space.n_params
+    margs = []
+    for t, k in enumerate(space.choice_counts):
+        n = P.shape[0]
+        expand = t + 1 < T
+        probs = np.empty((n, k))
+        if expand:
+            new_state = [
+                (np.empty((n, dims.hidden_size)), np.empty((n, dims.hidden_size)))
+                for _ in layers
+            ]
+        table = params.action_table(t - 1) if t else params.start_embedding()[None]
+        w, b = params.projection(t)
+        for lo in range(0, n, EXACT_CHUNK):
+            rows = slice(lo, lo + EXACT_CHUNK)
+            idx = parent[rows]
+            task_rows = np.broadcast_to(task_e, (idx.shape[0], dims.task_embed))
+            x = np.concatenate([table[acts[rows]], task_rows], axis=1)
+            out, chunk_state, _ = lstm_step_record(
+                layers, x, [(h[idx], c[idx]) for h, c in state]
+            )
+            probs[rows] = softmax(out @ w + b)
+            if expand:
+                for (h, c), (h_new, c_new) in zip(new_state, chunk_state):
+                    h[rows] = h_new
+                    c[rows] = c_new
+        marg = P @ probs
+        margs.append(marg / marg.sum())
+        if expand:
+            state = new_state
+            P = (P[:, None] * probs).ravel()
+            parent = np.repeat(np.arange(n), k)
+            acts = np.tile(np.arange(k), n)
+    return margs

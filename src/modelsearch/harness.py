@@ -40,6 +40,7 @@ from .controller import (
 )
 from .errors import ConfigError, DegenerateEmbedding, MissingLog
 from .evaluators import brute_force_optimum
+from .rules import FINITE
 from .smoothing import smooth_with_auto_window
 from .trainer import Event, TrainerState, build_state, run_state
 
@@ -337,8 +338,9 @@ def run_experiment(
     """Entry point behind the CLI; returns the output directory.
 
     ``mode`` must be one of search, transfer, brute-force, report. CLI
-    flags override the corresponding config fields. A bad ``mode`` or
-    ``seeds`` raises ConfigError before anything is written.
+    flags override the corresponding config fields. A bad ``mode``,
+    ``seeds`` or report ``threshold`` raises ConfigError before anything
+    is written, and the threshold before any run directory is read.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -347,6 +349,7 @@ def run_experiment(
             raise ConfigError("report mode needs at least two run directories")
         if threshold is None:
             raise ConfigError("report mode needs a threshold")
+        FINITE.check("threshold", threshold, ConfigError)
         rows = report_compare(report_dirs, threshold)
         out = Path(out_dir) if out_dir is not None else Path("report.csv")
         if out.is_dir():

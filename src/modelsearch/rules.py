@@ -48,6 +48,7 @@ NON_NEGATIVE_INT = Rule("an integer >= 0", integer=True, low=0)
 POSITIVE = Rule("a positive finite number", integer=False, low=0, high=float("inf"))
 FRACTION = Rule("a number in (0, 1)", integer=False, low=0, high=1)
 NUMBER = Rule("a number", integer=False)
+FINITE = Rule("a finite number", integer=False, low=-float("inf"), high=float("inf"))
 
 
 def check_fields(obj) -> None:

@@ -72,6 +72,7 @@ def test_default_space_keyword(tmp_path):
         ("seeds: [a]", "seeds"),
         ("seeds: [true]", "seeds"),
         ("seeds: [-1]", "seeds"),
+        ("seeds: [0, 0]", "seeds"),
         ("mode: fly", "mode"),
         ("heatmap_samples: 0", "heatmap_samples"),
         ("heatmap_samples: lots", "heatmap_samples"),

@@ -1,6 +1,10 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from modelsearch.config import load_experiment_config
 from modelsearch.controller import (
     ControllerDims,
     ControllerParams,
@@ -15,7 +19,7 @@ from modelsearch.controller import (
     teacher_forced,
 )
 from modelsearch.errors import UnknownTask
-from modelsearch.kernel import lstm_sequence_backward
+from modelsearch.kernel import lstm_sequence_backward, lstm_step_record
 from modelsearch.space import ParamSpec, SearchSpace, default_search_space
 
 TINY = SearchSpace([ParamSpec("a", (0, 1)), ParamSpec("b", ("x", "y", "z"))])
@@ -142,6 +146,75 @@ def test_chunked_exact_marginals_match_one_forward_pass(monkeypatch):
         assert c.shape == d.shape
         assert np.max(np.abs(c - d)) < 1e-12
         assert abs(c.sum() - 1.0) < 1e-12
+
+
+def enumeration_marginals(params, task_id):
+    """Reference: teacher_forced over every sequence, weighted by exp(sum log p)."""
+    space = params.space
+    actions = np.array(list(space.enumerate_actions()), dtype=np.int64)
+    fwd = teacher_forced(params, np.full(len(actions), task_id, dtype=np.int64), actions)
+    weights = np.exp(fwd.log_probs.sum(axis=1))
+    return [
+        np.bincount(actions[:, i], weights=weights, minlength=count) / weights.sum()
+        for i, count in enumerate(space.choice_counts)
+    ]
+
+
+def peaked_controller(space, seed):
+    # scaled weights give marginals far from uniform, so a wrong weight shows
+    params = init_controller(space, 2, seed)
+    params.flat[...] *= 10
+    return params
+
+
+def test_prefix_expansion_matches_enumeration_on_the_planted_pair_space(monkeypatch):
+    from modelsearch import controller
+
+    config = load_experiment_config(Path(__file__).parents[1] / "configs/planted-pair.yaml")
+    params = peaked_controller(config.space, 3)
+    rows = []
+
+    def counting_step(layers, x, state):
+        rows.append(x.shape[0])
+        return lstm_step_record(layers, x, state)
+
+    monkeypatch.setattr(controller, "lstm_step_record", counting_step)
+    for task_id in (0, 1):
+        rows.clear()
+        got = exact_action_distributions(params, task_id)
+        # levels of 1, 3, 6, 12, 36, 108 and 216 prefixes; the last spans four chunks
+        assert rows == [1, 3, 6, 12, 36, 64, 44, 64, 64, 64, 24]
+        for g, ref in zip(got, enumeration_marginals(params, task_id), strict=True):
+            assert g.shape == ref.shape
+            assert np.max(np.abs(g - ref)) < 1e-12
+            assert abs(g.sum() - 1.0) < 1e-12
+
+
+def test_prefix_expansion_matches_enumeration_on_the_default_space():
+    params = peaked_controller(default_search_space(), 4)
+    got = exact_action_distributions(params, 1)
+    for g, ref in zip(got, enumeration_marginals(params, 1), strict=True):
+        assert np.max(np.abs(g - ref)) < 1e-12
+        assert abs(g.sum() - 1.0) < 1e-12
+
+
+def test_exact_marginals_on_the_default_space_stay_small_in_memory():
+    # scoring the whole space at once peaked at about 71 MB
+    params = peaked_controller(default_search_space(), 5)
+    tracemalloc.start()
+    try:
+        exact_action_distributions(params, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_exact_marginals_reject_an_unknown_task():
+    params = init_controller(TINY, 2, 0, SMALL_DIMS)
+    for bad in (2, -1):
+        with pytest.raises(UnknownTask):
+            exact_action_distributions(params, bad)
 
 
 def test_uniform_controller_marginals_are_uniform():

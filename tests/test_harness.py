@@ -423,8 +423,15 @@ def test_cli_rejects_bad_seed_lists(tmp_path, capsys, seeds):
 
 @pytest.mark.parametrize(
     "override",
-    [{"seeds": [-1]}, {"seeds": [True]}, {"seeds": [1.5]}, {"seeds": []}, {"mode": "serch"}],
-    ids=["seed-negative", "seed-bool", "seed-float", "seeds-empty", "mode-misspelt"],
+    [
+        {"seeds": [-1]},
+        {"seeds": [True]},
+        {"seeds": [1.5]},
+        {"seeds": []},
+        {"seeds": [0, 0]},
+        {"mode": "serch"},
+    ],
+    ids=["seed-negative", "seed-bool", "seed-float", "seeds-empty", "seed-repeated", "mode-misspelt"],
 )
 def test_run_experiment_rejects_bad_overrides_without_an_out_dir(tmp_path, override):
     cfg_path = write_config(tmp_path)
@@ -432,6 +439,27 @@ def test_run_experiment_rejects_bad_overrides_without_an_out_dir(tmp_path, overr
     kwargs = {"mode": "search", **override}
     with pytest.raises(ConfigError, match=next(iter(override))):
         run_experiment(cfg_path, out_dir=out, **kwargs)
+    assert not out.exists()
+
+
+def test_cli_rejects_a_repeated_seed_without_an_out_dir(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "x"
+    assert cli_main(["search", "--config", str(cfg_path), "--seed", "0,1,0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: seeds must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_cli_report_rejects_a_non_finite_threshold(tmp_path, capsys, threshold):
+    runs = [tmp_path / "r1", tmp_path / "r2"]
+    for run in runs:
+        (run / "seed_0").mkdir(parents=True)
+        (run / "seed_0" / "events.csv").write_text(GOOD_LOG)
+    out = tmp_path / "c.csv"
+    argv = ["report", *map(str, runs), f"--threshold={threshold}", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: threshold must be a finite number")
     assert not out.exists()
 
 
