@@ -2,9 +2,9 @@
 
 A task-conditioned recurrent controller learns to sample well-performing
 model configurations for several tasks at once, trained off-policy with a
-clipped policy-gradient objective on a replay bank and per-task
-baseline-normalized advantages. Pre-trained controllers transfer to new
-tasks by adding fresh task embeddings and restarting the replay bank.
+clipped policy-gradient objective on a replay bank, the event log's tail,
+and per-task baseline-normalized advantages. Pre-trained controllers
+transfer to new tasks by adding fresh task embeddings and an empty log.
 """
 
 from .checkpoint import (

@@ -14,7 +14,7 @@ The registry lists one entry per task-embedding row, in row order:
 Loading keeps only the names.
 
 Transfer reuses both controllers' weights, adds one freshly initialized
-task-embedding row per new task, restarts the replay bank and searches
+task-embedding row per new task, starts an empty event log and searches
 only the new tasks; the old ones keep their rows but get no evaluator.
 """
 
@@ -180,8 +180,9 @@ def save_checkpoint(state, path, meta_extra: dict | None = None):
 def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
     """Read a checkpoint back; verifies version, space fingerprint and metadata.
 
-    A truncated or malformed file raises IoFailure and an unknown format
-    version VersionMismatch; each message names the file.
+    A truncated or malformed file, or a NaN or infinite weight or
+    baseline, raises IoFailure and an unknown format version
+    VersionMismatch; each message names the file.
     """
     try:
         with open(path, "rb") as f:
@@ -232,6 +233,8 @@ def load_checkpoint(path, space: SearchSpace) -> CheckpointState:
             view = params.get(name)
             if arrays[key].shape != view.shape:
                 raise IoFailure(f"checkpoint at {path}: array {key} has shape {arrays[key].shape}")
+            if not np.all(np.isfinite(arrays[key])):
+                raise IoFailure(f"checkpoint at {path}: array {key} holds a NaN or an infinity")
             view[...] = arrays[key]
         return params
 
@@ -258,10 +261,10 @@ def transfer_init(
     ``new_tasks`` is a list of (name, evaluator) pairs; a name the
     checkpoint already has raises ValueError. Both controllers' weights
     are reused bitwise; each new task gets a fresh uniformly initialized
-    embedding row; the replay bank starts empty; baselines for the new
+    embedding row; the event log starts empty; baselines for the new
     tasks are uninitialized. Only the new tasks get evaluators, so task
     sampling only visits them; the pre-training tasks keep their rows and
-    names. Optimizer moments are reset (fresh task distribution). Nothing
+    names. Adam's moments and step are reset (fresh task distribution). Nothing
     in ``checkpoint`` is modified: ``add_task`` puts the weights into new
     arrays, which the search then updates in place, so one loaded
     checkpoint can seed many transfers.
@@ -294,7 +297,7 @@ def transfer_init(
         actor=actor,
         critic=critic,
         adam=AdamState.zeros(actor.layout.total_size),
-        replay=ReplayBank(cfg.replay_capacity),
+        events=ReplayBank(cfg.replay_capacity),
         baselines=baselines,
         config=cfg,
     )

@@ -15,6 +15,7 @@ once and runs each step in buffers allocated once per evaluation.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
@@ -88,6 +89,9 @@ class OracleTable:
         self.noise_sigma = float(noise_sigma)
         self.reward_scale = float(reward_scale)
 
+    def __reduce__(self):  # via the constructor: a copy is checked again and read-only
+        return OracleTable, (self.space, self.accuracies, self.noise_sigma, self.reward_scale)
+
     def rank_of(self, config: ModelConfig) -> int:
         try:
             return self.space.rank(self.space.encode(config))
@@ -150,11 +154,7 @@ def tabular_evaluate(table: OracleTable, config: ModelConfig, seed: int) -> floa
 
 
 def binding_from_table(name: str, table: OracleTable) -> EvaluatorBinding:
-    return EvaluatorBinding(
-        name=name,
-        fn=lambda config, seed: tabular_evaluate(table, config, seed),
-        table=table,
-    )
+    return EvaluatorBinding(name=name, fn=functools.partial(tabular_evaluate, table), table=table)
 
 
 def brute_force_optimum(binding: EvaluatorBinding) -> tuple[ModelConfig, float]:
@@ -435,10 +435,10 @@ def train_child_network(config: ModelConfig, task: ToyTask, seed: int) -> float:
     return float(np.mean(pred == task.val_y))
 
 
+def child_network_reward(task: ToyTask, config: ModelConfig, seed: int) -> float:
+    """Reward of the child network a config describes, trained on ``task``."""
+    return reward_from_accuracy(train_child_network(config, task, seed))
+
+
 def binding_from_child_task(name: str, task: ToyTask) -> EvaluatorBinding:
-    return EvaluatorBinding(
-        name=name,
-        fn=lambda config, seed: reward_from_accuracy(
-            train_child_network(config, task, seed)
-        ),
-    )
+    return EvaluatorBinding(name=name, fn=functools.partial(child_network_reward, task))

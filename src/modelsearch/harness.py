@@ -197,6 +197,11 @@ def run_search_experiment(config: ExperimentConfig, mode: str = "search") -> Pat
     ckpt = None
     if mode == "transfer":
         ckpt = load_checkpoint(config.transfer_checkpoint, config.space)
+        if config.dims != ckpt.actor.dims:
+            raise ConfigError(
+                f"controller: sizes {config.dims} differ from checkpoint "
+                f"{config.transfer_checkpoint}, which has {ckpt.actor.dims}"
+            )
         for name, _ in tasks:
             if name in ckpt.task_names:
                 raise ConfigError(
@@ -222,15 +227,15 @@ def run_search_experiment(config: ExperimentConfig, mode: str = "search") -> Pat
 
 def run_brute_force(config: ExperimentConfig) -> Path:
     """Exhaustive optimum per tabular task; writes brute_force.csv."""
-    tasks = build_evaluators(config)
+    optima = [(name, *brute_force_optimum(binding)) for name, binding in build_evaluators(config)]
+    # only a run whose every optimum exists leaves an output directory
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "brute_force.csv"
     with open(path, "w", newline="") as f:
         w = _csv_writer(f)
         w.writerow(["task"] + [p.name for p in config.space.params] + ["reward"])
-        for name, binding in tasks:
-            best_config, reward = brute_force_optimum(binding)
+        for name, best_config, reward in optima:
             w.writerow([name] + [v for _, v in best_config.items] + [_fmt(reward)])
     manifest = {"experiment": config.name, "mode": "brute-force", "artifacts": ["brute_force.csv"]}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -4,23 +4,23 @@ A task is a row of the controllers' task-embedding table and a name; it
 is searched exactly when it has an evaluator. One iteration: pick one of
 the searched tasks uniformly at random, let the actor controller sample
 model configurations for it, evaluate them to get rewards and update the
-per-task reward baseline. Each kept sample becomes one
-``Event``: the same object is appended to the event log, pushed into the
-replay bank and handed to the ``on_event`` callback. Then the critic
-controller takes one clipped off-policy policy-gradient step on a replay
-batch. Every ``steps_per_sync`` critic steps the actor is pulled toward
-the critic by Polyak averaging, keeping a slow-moving behavior policy
-while the critic trains off-policy.
+per-task reward baseline. Each kept sample becomes one ``Event``, pushed
+once onto the event log and handed to the ``on_event`` callback. Then
+the critic controller takes one clipped off-policy policy-gradient step
+on a batch drawn from the replay bank: the log's last ``replay_capacity``
+events. Every ``steps_per_sync`` critic steps (the critic's Adam step
+count) the actor is pulled toward the critic by Polyak averaging,
+keeping a slow-moving behavior policy while the critic trains off-policy.
 
 The state owns its controllers' weights: the Adam step writes the
 critic's flat vector in place and the Polyak blend writes the actor's.
-Nothing keeps old weights; an event keeps only its own log-probs.
+Nothing keeps old weights; an event keeps only its own log-probs. A
+state holds plain data, so it pickles; a copy continues bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -41,7 +41,7 @@ from .errors import (
     UnknownTask,
 )
 from .optim import AdamState, adaptive_update, clip_global_norm, polyak_average
-from .rules import FRACTION, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, check_fields
+from .rules import FINITE, FRACTION, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, check_fields
 from .space import SearchSpace
 
 log = logging.getLogger(__name__)
@@ -70,7 +70,7 @@ class TrainerConfig:
 
 @dataclass
 class Event:
-    """One evaluated sample: a row of the event log and a replay-bank entry."""
+    """One evaluated sample: a row of the event log."""
 
     iteration: int
     task_id: int
@@ -82,27 +82,23 @@ class Event:
     behavior_log_probs: np.ndarray
 
 
-class ReplayBank:
-    """Bounded FIFO of Events with uniform sampling (with replacement)."""
+class ReplayBank(list):
+    """The event log, every kept Event in order; its last ``capacity``
+    events are the replay bank, which ``sample`` draws from uniformly.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = POSITIVE_INT.check("capacity", capacity)
-        self._items: deque[Event] = deque(maxlen=capacity)
 
     def push(self, event: Event):
-        self._items.append(event)
+        self.append(event)
 
     def sample(self, batch_size: int, rng) -> list[Event]:
-        if len(self._items) == 0:
+        n = min(len(self), self.capacity)
+        if n == 0:
             raise EmptyBank("replay bank is empty")
-        idx = rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
+        idx = rng.integers(0, n, size=batch_size) + (len(self) - n)
+        return [self[i] for i in idx.tolist()]
 
 
 class BaselineTable:
@@ -144,12 +140,12 @@ class BaselineTable:
         """Entries as written by as_dict.
 
         A stored per-entry decay is ignored; an entry stored as not
-        initialized is skipped.
+        initialized is skipped and a non-finite value raises ValueError.
         """
         t = cls(decay)
         for tid, e in d.items():
             if e["initialized"]:
-                t._values[int(tid)] = float(e["value"])
+                t._values[int(tid)] = FINITE.check(f"baseline {tid}", float(e["value"]))
         return t
 
 
@@ -213,12 +209,10 @@ class TrainerState:
     actor: ControllerParams
     critic: ControllerParams
     adam: AdamState
-    replay: ReplayBank
+    events: ReplayBank  # the event log; its tail is the replay bank
     baselines: BaselineTable
     config: TrainerConfig
     iteration: int = 0
-    critic_steps: int = 0
-    events: list = field(default_factory=list)
 
 
 def build_state(
@@ -241,7 +235,7 @@ def build_state(
         actor=actor,
         critic=critic,
         adam=AdamState.zeros(actor.layout.total_size),
-        replay=ReplayBank(config.replay_capacity),
+        events=ReplayBank(config.replay_capacity),
         baselines=baselines,
         config=config,
     )
@@ -267,9 +261,9 @@ def draw_task(evaluators: dict, rng) -> int:
 def _critic_step(state: TrainerState, rng) -> float | None:
     """One PPO gradient step on a replay batch, in place; returns the loss."""
     cfg = state.config
-    if len(state.replay) == 0:
+    if len(state.events) == 0:
         return None
-    batch = state.replay.sample(cfg.batch_size, rng)
+    batch = state.events.sample(cfg.batch_size, rng)
     task_ids = np.array([e.task_id for e in batch], dtype=np.int64)
     actions = np.array([e.actions for e in batch], dtype=np.int64)
     old_lp = np.array([e.behavior_log_probs for e in batch])
@@ -284,8 +278,7 @@ def _critic_step(state: TrainerState, rng) -> float | None:
     if cfg.grad_clip_norm is not None:
         grads = clip_global_norm(grads, cfg.grad_clip_norm)
     adaptive_update(state.critic.flat, grads, state.adam, cfg.critic_lr)
-    state.critic_steps += 1
-    if state.critic_steps % cfg.steps_per_sync == 0:
+    if state.adam.step % cfg.steps_per_sync == 0:
         polyak_average(state.actor.flat, state.critic.flat, cfg.polyak_keep)
     return loss
 
@@ -327,8 +320,7 @@ def train_iteration(state: TrainerState, rng, on_event: Callable | None = None):
             actions=model.actions,
             behavior_log_probs=model.behavior_log_probs,
         )
-        state.events.append(event)
-        state.replay.push(event)
+        state.events.push(event)
         if on_event is not None:
             on_event(event)
 

@@ -4,6 +4,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelsearch.checkpoint import (
     MAGIC,
@@ -20,6 +22,7 @@ from modelsearch.errors import (
     DegenerateEmbedding,
     FingerprintMismatch,
     IoFailure,
+    ModelSearchError,
     UnknownTask,
     VersionMismatch,
 )
@@ -277,6 +280,76 @@ def test_cli_transfer_from_bad_header_exits_2(tmp_path, capsys, corrupt, message
     assert not list(tmp_path.rglob("seed_*"))
 
 
+def _array_data_at(data: bytes, wanted: str) -> int:
+    """Offset of the first value of the array named ``wanted``."""
+    at = _first_array_at(data)
+    while True:
+        (name_len,) = struct.unpack_from("<H", data, at)
+        name = data[at + 2 : at + 2 + name_len].decode()
+        ndim = data[at + 2 + name_len]
+        shape = struct.unpack_from(f"<{ndim}I", data, at + 3 + name_len)
+        at += 3 + name_len + 4 * ndim
+        if name == wanted:
+            return at
+        at += 8 * int(np.prod(shape))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_weight_raises_io_failure(tmp_path, value):
+    state, _ = make_state(iters=5)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(state, path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<d", data, _array_data_at(data, "critic/lstm0.w_x") + 16, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(IoFailure, match="array critic/lstm0.w_x holds a NaN or an infinity") as exc:
+        load_checkpoint(path, TINY)
+    assert str(path) in str(exc.value)
+    assert _cli_transfer(tmp_path, path) == 2
+    assert not (tmp_path / "tr").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_baseline_raises_io_failure(tmp_path, value):
+    state, _ = make_state(iters=5)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(state, path)
+    _rewrite_meta(path, _edit_json(lambda m: m["baselines"]["0"].update(value=value)))
+    with pytest.raises(IoFailure, match="malformed metadata.*baseline 0 must be a finite number"):
+        load_checkpoint(path, TINY)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "ck.bin"
+    save_checkpoint(make_state(iters=5)[0], path)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_loads_finite_or_raises_a_package_error(small_checkpoint, data):
+    blob = bytearray(small_checkpoint.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="length") :]
+    at = st.integers(0, max(len(blob) - 8, 0))
+    for pos, mask in data.draw(st.lists(st.tuples(at, st.integers(1, 255)), max_size=4)):
+        if pos < len(blob):
+            blob[pos] ^= mask
+    for pos, value in data.draw(st.lists(st.tuples(at, st.floats()), max_size=2)):
+        if pos + 8 <= len(blob):
+            struct.pack_into("<d", blob, pos, value)
+    mutated = small_checkpoint.with_name("mutated.bin")
+    mutated.write_bytes(bytes(blob))
+    try:
+        loaded = load_checkpoint(mutated, TINY)
+    except ModelSearchError:
+        return
+    assert np.all(np.isfinite(loaded.actor.flat)) and np.all(np.isfinite(loaded.critic.flat))
+    baselines = [e["value"] for e in loaded.baselines.as_dict().values()]
+    assert np.all(np.isfinite(baselines))
+
+
 def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     from modelsearch import checkpoint
 
@@ -340,9 +413,9 @@ def test_transfer_preserves_all_pre_existing_weights(tmp_path):
 
 def test_transfer_empties_replay_and_baselines(tmp_path):
     state, ckpt, new_tasks = transfer_setup(tmp_path)
-    assert len(state.replay) > 0
+    assert len(state.events) > 0
     new_state = transfer_init(ckpt, new_tasks, np.random.default_rng(1))
-    assert len(new_state.replay) == 0
+    assert len(new_state.events) == 0
     for task_id, name in enumerate(new_state.task_names):
         if name in ("gamma", "delta"):
             assert not new_state.baselines.initialized(task_id)
@@ -369,7 +442,7 @@ def test_transfer_search_leaves_the_checkpoint_untouched(tmp_path):
     cfg = TrainerConfig(total_iterations=30, steps_per_sync=5)
     state = transfer_init(ckpt, new_tasks, np.random.default_rng(1), config=cfg)
     run_state(state, np.random.default_rng(1))
-    assert state.critic_steps == 30
+    assert state.adam.step == 30
     assert not np.array_equal(state.actor.flat[: at_load[0].size], at_load[0])
     for now, before in zip([ckpt.actor.flat, ckpt.critic.flat], at_load):
         assert np.array_equal(now.view(np.int64), before.view(np.int64))

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from modelsearch.evaluators import (
     ChildBuffers,
     EvaluatorBinding,
     OracleTable,
+    binding_from_child_task,
     binding_from_table,
     brute_force_optimum,
     child_forward_logits,
@@ -475,3 +478,27 @@ def test_loss_and_grads_returns_child_grads_unchanged():
     logp = logits - logits.max(axis=1, keepdims=True)
     logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
     assert loss == pytest.approx(-logp[np.arange(8), y].mean(), rel=1e-12)
+
+
+def test_unpickled_table_is_read_only_and_equal():
+    table = planted_table(TINY, (1, 2), 0.9, falloff=0.8).with_reward_scale(2.0)
+    copy = pickle.loads(pickle.dumps(table))
+    assert not copy.accuracies.flags.writeable
+    assert copy.accuracies.tobytes() == table.accuracies.tobytes()
+    assert (copy.noise_sigma, copy.reward_scale) == (table.noise_sigma, table.reward_scale)
+    with pytest.raises(ValueError):
+        copy.accuracies[0] = 0.5
+
+
+def test_bindings_pickle_and_give_the_same_rewards():
+    table = OracleTable(TINY, np.linspace(0.1, 0.9, 6), noise_sigma=0.05)
+    child = toy_separable()
+    space = child_search_space()
+    config = space.decode((0,) * space.n_params)
+    for binding, cfg in [
+        (binding_from_table("t", table), TINY.decode((1, 2))),
+        (binding_from_child_task("c", child), config),
+    ]:
+        copy = pickle.loads(pickle.dumps(binding))
+        assert copy.name == binding.name
+        assert copy(cfg, 7) == binding(cfg, 7)

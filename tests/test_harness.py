@@ -413,6 +413,36 @@ def test_cli_rejected_transfer_leaves_no_out_dir(tmp_path, capsys, fault, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "controller",
+    ["{hidden_size: 9, action_embed: 4, task_embed: 4}", "{hidden_size: 8, num_layers: 3}", None],
+    ids=["hidden_size", "num_layers", "no-block"],
+)
+def test_cli_transfer_with_other_controller_sizes_leaves_no_out_dir(tmp_path, capsys, controller):
+    cfg_path = write_config(tmp_path)
+    pre = run_experiment(cfg_path, mode="search", seeds=[0], out_dir=tmp_path / "pre")
+    ckpt = pre / "seed_0" / "checkpoint.bin"
+    old = "controller: {hidden_size: 8, action_embed: 4, task_embed: 4}\n"
+    text = SMALL_EXPERIMENT.replace("t0", "n0").replace("t1", "n1")
+    text = text.replace(old, "" if controller is None else f"controller: {controller}\n")
+    out = tmp_path / "tr"
+    argv = ["transfer", "--config", str(write_config(tmp_path, text, name="cfg2.yaml"))]
+    assert cli_main(argv + ["--checkpoint", str(ckpt), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: controller: sizes ")
+    assert not out.exists()
+
+
+def test_cli_brute_force_without_an_oracle_table_leaves_no_out_dir(tmp_path, capsys):
+    text = SMALL_EXPERIMENT.replace(
+        "{kind: planted, optimum: [1, 2], ceiling: 0.8, falloff: 0.8}", "{kind: child_network}"
+    )
+    out = tmp_path / "bf"
+    cfg_path = write_config(tmp_path, text)
+    assert cli_main(["brute-force", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: evaluator 't1' has no oracle table")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seeds", ["-1", "0,-3", ",", "x"])
 def test_cli_rejects_bad_seed_lists(tmp_path, capsys, seeds):
     cfg_path = write_config(tmp_path)

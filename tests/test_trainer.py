@@ -1,6 +1,11 @@
+import dataclasses
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from modelsearch.config import build_evaluators, load_experiment_config
 from modelsearch.controller import ControllerDims
 from modelsearch.errors import BaselineUninitialized, EmptyBank, LengthMismatch
 from modelsearch.evaluators import binding_from_table, planted_table
@@ -178,14 +183,22 @@ def _record(task=0, reward=0.5, it=0):
     return Event(it, task, f"task{task}", reward, reward, 0.0, (0, 0), np.array([-0.7, -1.1]))
 
 
-def test_replay_fifo_eviction():
+def test_replay_samples_only_the_last_capacity_events():
     bank = ReplayBank(2)
-    a, b, c = _record(it=1), _record(it=2), _record(it=3)
-    bank.push(a)
-    bank.push(b)
-    bank.push(c)
-    assert len(bank) == 2
-    assert [r.iteration for r in bank] == [2, 3]
+    for it in (1, 2, 3):
+        bank.push(_record(it=it))
+    assert [r.iteration for r in bank] == [1, 2, 3]  # the log keeps every event
+    draws = bank.sample(200, np.random.default_rng(0))
+    assert {r.iteration for r in draws} == {2, 3}
+
+
+def test_unpickled_replay_bank_keeps_its_events_and_capacity():
+    bank = ReplayBank(2)
+    for it in (1, 2, 3):
+        bank.push(_record(it=it))
+    copy = pickle.loads(pickle.dumps(bank))
+    assert type(copy) is ReplayBank and copy.capacity == 2
+    assert [r.iteration for r in copy] == [1, 2, 3]
 
 
 def test_replay_singleton_sample_and_empty_error():
@@ -376,3 +389,41 @@ def test_single_task_tiny_space_convergence_smoke():
     rewards = np.array([e.reward for e in res.events])
     dec = len(rewards) // 10
     assert rewards[-dec:].mean() > rewards[:dec].mean()
+
+
+# --- pickling ----------------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "config_file, trainer, before, after",
+    [
+        # past replay_capacity, across Polyak syncs after the round trip
+        ("planted-pair.yaml", {"replay_capacity": 30, "steps_per_sync": 7}, 40, 20),
+        ("child-networks.yaml", {"steps_per_sync": 2}, 3, 3),
+    ],
+    ids=["planted", "child"],
+)
+def test_pickled_state_continues_bit_for_bit(config_file, trainer, before, after):
+    config = load_experiment_config(CONFIGS / config_file)
+    cfg = dataclasses.replace(config.trainer, **trainer)
+    rng = np.random.default_rng(3)
+    state = build_state(config.space, build_evaluators(config), cfg, rng, config.dims)
+    for _ in range(before):
+        train_iteration(state, rng)
+    copy, copy_rng = pickle.loads(pickle.dumps((state, rng)))
+    for _ in range(after):
+        train_iteration(state, rng)
+        train_iteration(copy, copy_rng)
+    assert copy.adam.step == state.adam.step == (before + after) * cfg.critic_steps_per_iteration
+    for name in ("actor", "critic"):
+        assert getattr(copy, name).flat.tobytes() == getattr(state, name).flat.tobytes()
+    assert copy.adam.m.tobytes() == state.adam.m.tobytes()
+    assert copy.adam.v.tobytes() == state.adam.v.tobytes()
+    assert copy_rng.bit_generator.state == rng.bit_generator.state
+    assert copy.baselines.as_dict() == state.baselines.as_dict()
+    assert [(e.iteration, e.actions, e.reward) for e in copy.events] == [
+        (e.iteration, e.actions, e.reward) for e in state.events
+    ]
+    assert copy.events.capacity == cfg.replay_capacity
