@@ -19,11 +19,10 @@ from .errors import ConfigError, ModelSearchError
 from .evaluators import (
     EvaluatorBinding,
     OracleTable,
+    ToyTask,
     binding_from_child_task,
-    binding_from_table,
     planted_table,
 )
-from .fixtures import toy_overlap, toy_separable
 from .rules import NON_NEGATIVE_INT, NUMBER, POSITIVE_INT
 from .space import SearchSpace, default_search_space, space_from_entries
 from .trainer import TrainerConfig
@@ -222,6 +221,14 @@ def parse_experiment_config(raw: dict, base_dir=Path(".")) -> ExperimentConfig:
     )
 
 
+#: a ``child_network`` evaluator's dataset -> (ToyTask name, default seed,
+#: class separation)
+CHILD_DATASETS = {
+    "separable": ("separable", 2024, 3.0),
+    "overlap": ("noisy-overlap", 2025, 0.8),
+}
+
+
 def build_evaluator(space: SearchSpace, task: TaskSpec, base_dir=Path(".")) -> EvaluatorBinding:
     """Realize one task's evaluator binding from its config block."""
     ev = dict(task.evaluator)
@@ -258,19 +265,18 @@ def build_evaluator(space: SearchSpace, task: TaskSpec, base_dir=Path(".")) -> E
         _check_keys(ev, {"dataset", "seed"}, where)
         dataset = str(ev.get("dataset", "separable"))
         seed = NON_NEGATIVE_INT.or_null().check(f"{where}.seed", ev.get("seed"), ConfigError)
-        if dataset == "separable":
-            toy = toy_separable() if seed is None else toy_separable(seed)
-        elif dataset == "overlap":
-            toy = toy_overlap() if seed is None else toy_overlap(seed)
-        else:
-            raise ConfigError(f"{where}.dataset must be 'separable' or 'overlap'")
+        if dataset not in CHILD_DATASETS:
+            known = " or ".join(map(repr, CHILD_DATASETS))
+            raise ConfigError(f"{where}.dataset must be {known}")
+        toy_name, default_seed, separation = CHILD_DATASETS[dataset]
+        toy = ToyTask.generate(toy_name, default_seed if seed is None else seed, separation)
         return binding_from_child_task(task.name, toy)
     else:
         raise ConfigError(f"{where}.kind: unknown evaluator kind {kind!r}")
     # both table kinds take evaluation noise and a reward scale
     noise = {k: _number(ev, k, d, where) for k, d in (("noise_sigma", 0.0), ("reward_scale", 1.0))}
     try:
-        return binding_from_table(task.name, OracleTable(space, accuracies, **noise))
+        return EvaluatorBinding(task.name, table=OracleTable(space, accuracies, **noise))
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
 

@@ -46,13 +46,23 @@ def reward_from_accuracy(acc: float) -> float:
 
 @dataclass
 class EvaluatorBinding:
-    """A task's reward source: (ModelConfig, seed) -> reward."""
+    """A task's reward source: (ModelConfig, seed) -> reward.
+
+    A tabular binding holds its ``table``, which both evaluation and
+    ``brute_force_optimum`` read; any other binding calls ``fn``.
+    """
 
     name: str
-    fn: Callable
+    fn: Callable | None = None
     table: "OracleTable | None" = None
 
+    def __post_init__(self):
+        if (self.fn is None) == (self.table is None):
+            raise ValueError(f"evaluator {self.name!r} needs exactly one of fn and table")
+
     def __call__(self, config: ModelConfig, seed: int) -> float:
+        if self.table is not None:
+            return tabular_evaluate(self.table, config, seed)
         return self.fn(config, seed)
 
 
@@ -98,16 +108,6 @@ class OracleTable:
         except UnknownChoice as e:
             raise UnknownConfig(str(e)) from e
 
-    def with_reward_scale(self, scale: float) -> "OracleTable":
-        return OracleTable(self.space, self.accuracies, self.noise_sigma, scale)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["index", "accuracy"])
-            for i, a in enumerate(self.accuracies):
-                w.writerow([i, repr(float(a))])
-
     @classmethod
     def from_csv(cls, path, space: SearchSpace) -> "OracleTable":
         """Table from ``index,accuracy`` rows, one per configuration rank.
@@ -151,10 +151,6 @@ def tabular_evaluate(table: OracleTable, config: ModelConfig, seed: int) -> floa
         acc += float(np.random.default_rng(seed).normal(0.0, table.noise_sigma))
         acc = min(max(acc, 0.0), 1.0)
     return reward_from_accuracy(acc) * table.reward_scale
-
-
-def binding_from_table(name: str, table: OracleTable) -> EvaluatorBinding:
-    return EvaluatorBinding(name=name, fn=functools.partial(tabular_evaluate, table), table=table)
 
 
 def brute_force_optimum(binding: EvaluatorBinding) -> tuple[ModelConfig, float]:

@@ -84,7 +84,7 @@ def _write_best_models(state: TrainerState, path: Path):
         cfg = state.actor.space.decode(event.actions)
         payload[name] = {
             "actions": list(event.actions),
-            "config": {k: v for k, v in cfg.items},
+            "config": cfg.as_dict(),
             "reward": event.reward,
             "iteration": event.iteration,
         }

@@ -130,8 +130,19 @@ def polyak_average(weights_a: np.ndarray, weights_b: np.ndarray, keep: float) ->
 
 
 def clip_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:
-    """Scale the flat gradient vector so its L2 norm is at most max_norm."""
+    """Scale the flat gradient vector so its L2 norm is at most max_norm.
+
+    A NaN or infinite entry is returned as it is, for the optimizer's check.
+    """
     norm = float(np.linalg.norm(grads))
     if norm <= max_norm or norm == 0.0:
         return grads
-    return grads * (max_norm / norm)
+    if np.isfinite(norm):
+        return grads * (max_norm / norm)
+    # the sum of squares overflowed: clip grads / max|g|, whose norm is at
+    # least 1 and finite
+    big = float(np.max(np.abs(grads)))
+    if not np.isfinite(big):
+        return grads
+    unit = grads / big
+    return unit * (max_norm / float(np.linalg.norm(unit)))

@@ -6,9 +6,11 @@ through module-scoped fixtures; everything is deterministic for the pinned
 seeds.
 """
 
+import dataclasses
 import time
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,14 @@ from modelsearch.checkpoint import (
     task_embedding_correlations,
     transfer_init,
 )
-from modelsearch.config import verify_reference_defaults
+from modelsearch.config import (
+    CHILD_DATASETS,
+    TaskSpec,
+    build_evaluator,
+    build_evaluators,
+    load_experiment_config,
+    verify_reference_defaults,
+)
 from modelsearch.controller import (
     ControllerDims,
     action_distributions,
@@ -29,25 +38,16 @@ from modelsearch.controller import (
     teacher_forced,
 )
 from modelsearch.evaluators import (
-    binding_from_child_task,
-    binding_from_table,
+    ToyTask,
     brute_force_optimum,
     child_init,
     child_loss_and_grads,
     train_child_network,
 )
-from modelsearch.fixtures import (
-    child_search_space,
-    differing_positions,
-    planted_pair_a,
-    planted_pair_related,
-    toy_separable,
-)
 from modelsearch.harness import run_experiment
 from modelsearch.smoothing import smooth_with_auto_window
 from modelsearch.space import ParamSpec, SearchSpace
 from modelsearch.trainer import (
-    TrainerConfig,
     build_state,
     ppo_clipped_loss,
     run_search,
@@ -59,6 +59,7 @@ CONVERGENCE_ITERS = 3500  # criterion allows up to 5000
 PRETRAIN_ITERS = 800
 TRANSFER_BUDGET = 2000
 CHILD_EVALUATIONS = 300
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @contextmanager
@@ -74,74 +75,67 @@ def criterion(num, name):
 # --- shared fixtures ---------------------------------------------------------
 
 
+def trainer_for(config, iterations):
+    return dataclasses.replace(config.trainer, total_iterations=iterations)
+
+
 @pytest.fixture(scope="module")
 def pair_a():
-    return planted_pair_a()
+    """The two planted tasks of the paper's main experiment."""
+    return load_experiment_config(CONFIGS / "planted-pair.yaml")
 
 
 @pytest.fixture(scope="module")
 def pair_related():
-    return planted_pair_related()
+    """Near-copies of pair A's optima, the transfer targets."""
+    return load_experiment_config(CONFIGS / "transfer-related.yaml")
 
 
 @pytest.fixture(scope="module")
 def bindings_a(pair_a):
-    tables = pair_a.tables()
-    return [(t.name, binding_from_table(t.name, tables[t.name])) for t in pair_a.tasks]
+    return build_evaluators(pair_a)
 
 
 @pytest.fixture(scope="module")
 def bindings_related(pair_related):
-    tables = pair_related.tables()
-    return [
-        (t.name, binding_from_table(t.name, tables[t.name]))
-        for t in pair_related.tasks
-    ]
+    return build_evaluators(pair_related)
 
 
 @pytest.fixture(scope="module")
 def optima_a(pair_a, bindings_a):
     out = {}
-    for (name, binding), task in zip(bindings_a, pair_a.tasks):
+    for name, binding in bindings_a:
         cfg, reward = brute_force_optimum(binding)
         out[name] = (pair_a.space.encode(cfg), reward)
-        assert out[name][0] == task.optimum  # fixture sanity
     return out
 
 
 @pytest.fixture(scope="module")
 def base_runs(pair_a, bindings_a):
     """Converged multitask runs on pair A, one per seed."""
-    cfg = TrainerConfig(total_iterations=CONVERGENCE_ITERS)
+    cfg = trainer_for(pair_a, CONVERGENCE_ITERS)
     return {s: run_search(pair_a.space, bindings_a, cfg, s) for s in SEEDS}
 
 
 @pytest.fixture(scope="module")
-def scaled_runs(pair_a):
+def scaled_runs(pair_a, bindings_a):
     """Same runs with one task's rewards scaled by 10."""
-    tables = pair_a.tables()
-    scale_task = pair_a.tasks[0].name
-    tasks = []
-    for t in pair_a.tasks:
-        table = tables[t.name]
-        if t.name == scale_task:
-            table = table.with_reward_scale(10.0)
-        tasks.append((t.name, binding_from_table(t.name, table)))
-    cfg = TrainerConfig(total_iterations=CONVERGENCE_ITERS)
-    return scale_task, {s: run_search(pair_a.space, tasks, cfg, s) for s in SEEDS}
+    first = pair_a.tasks[0]
+    scaled = TaskSpec(first.name, {**first.evaluator, "reward_scale": 10.0})
+    tasks = [(first.name, build_evaluator(pair_a.space, scaled)), bindings_a[1]]
+    cfg = trainer_for(pair_a, CONVERGENCE_ITERS)
+    return first.name, {s: run_search(pair_a.space, tasks, cfg, s) for s in SEEDS}
 
 
 @pytest.fixture(scope="module")
-def transfer_bundle(pair_a, bindings_a, bindings_related, tmp_path_factory):
+def transfer_bundle(pair_a, pair_related, bindings_a, bindings_related, tmp_path_factory):
     """Per seed: pre-train on pair A, transfer to the related pair, plus a
     from-scratch baseline with the same seed."""
     root = tmp_path_factory.mktemp("transfer")
     out = {}
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
-        state = build_state(
-            pair_a.space, bindings_a, TrainerConfig(total_iterations=PRETRAIN_ITERS), rng
-        )
+        state = build_state(pair_a.space, bindings_a, trainer_for(pair_a, PRETRAIN_ITERS), rng)
         run_state(state, rng)
         ck = root / f"pretrain_{seed}.bin"
         save_checkpoint(state, ck)
@@ -152,14 +146,14 @@ def transfer_bundle(pair_a, bindings_a, bindings_related, tmp_path_factory):
             ckpt,
             bindings_related,
             t_rng,
-            config=TrainerConfig(total_iterations=TRANSFER_BUDGET),
+            config=trainer_for(pair_related, TRANSFER_BUDGET),
         )
         transfer_res = run_state(t_state, t_rng)
 
         scratch_res = run_search(
-            pair_a.space,
+            pair_related.space,
             bindings_related,
-            TrainerConfig(total_iterations=TRANSFER_BUDGET),
+            trainer_for(pair_related, TRANSFER_BUDGET),
             1000 + seed,
         )
         out[seed] = (transfer_res, scratch_res)
@@ -260,9 +254,10 @@ def test_criterion_2_multitask_convergence(pair_a, base_runs, optima_a):
             assert wins >= 2, f"{task.name}: optimum modal in only {wins}/3 seeds"
 
 
-def test_criterion_3_task_differentiation(pair_a, base_runs, optima_a):
+def test_criterion_3_task_differentiation(base_runs, optima_a):
     with criterion(3, "per-task marginals favor each planted optimum"):
-        diff = differing_positions(pair_a.tasks[0].optimum, pair_a.tasks[1].optimum)
+        first, second = (optimum for optimum, _ in optima_a.values())
+        diff = [i for i, (x, y) in enumerate(zip(first, second)) if x != y]
         assert len(diff) >= 3
         seed_ok = 0
         for seed in SEEDS:
@@ -362,8 +357,9 @@ def test_criterion_6_task_embedding_relatedness(pair_a, pair_related, transfer_b
 
 def test_criterion_7_end_to_end_child_training():
     with criterion(7, "search over real child networks finds a strong config"):
-        space = child_search_space()
-        task = toy_separable()
+        config = load_experiment_config(CONFIGS / "child-networks.yaml")
+        space = config.space
+        task = ToyTask.generate(*CHILD_DATASETS[config.tasks[0].evaluator["dataset"]])
         # brute force first: strong configs must exist in the reduced space
         strong = 0
         for actions in space.enumerate_actions():
@@ -371,11 +367,11 @@ def test_criterion_7_end_to_end_child_training():
                 strong += 1
         assert strong >= 1, "no config reaches 0.95 on the separable task"
 
-        binding = binding_from_child_task("separable", task)
+        tasks = build_evaluators(config)
         wins = 0
         for seed in SEEDS:
-            cfg = TrainerConfig(total_iterations=CHILD_EVALUATIONS)
-            res = run_search(space, [("separable", binding)], cfg, seed)
+            cfg = trainer_for(config, CHILD_EVALUATIONS)
+            res = run_search(space, tasks, cfg, seed)
             assert len(res.events) <= CHILD_EVALUATIONS
             best_reward = max(e.reward for e in res.events)
             best_acc = best_reward ** (1.0 / 3.0)
@@ -408,9 +404,7 @@ tasks:
 
         # checkpoint round trip is bitwise
         rng = np.random.default_rng(0)
-        state = build_state(
-            pair_a.space, bindings_a, TrainerConfig(total_iterations=25), rng
-        )
+        state = build_state(pair_a.space, bindings_a, trainer_for(pair_a, 25), rng)
         run_state(state, rng)
         ck = tmp_path / "ck.bin"
         save_checkpoint(state, ck)

@@ -26,7 +26,7 @@ from modelsearch.errors import (
     UnknownTask,
     VersionMismatch,
 )
-from modelsearch.evaluators import binding_from_table, planted_table
+from modelsearch.evaluators import EvaluatorBinding, planted_table
 from modelsearch.space import ParamSpec, SearchSpace
 from modelsearch.trainer import TrainerConfig, build_state, run_state
 
@@ -37,8 +37,8 @@ SMALL_DIMS = ControllerDims(hidden_size=8, action_embed=4, task_embed=4, num_lay
 def make_state(iters=40, seed=0):
     table = planted_table(TINY, (1, 2), 0.9, falloff=0.8)
     tasks = [
-        ("alpha", binding_from_table("alpha", table)),
-        ("beta", binding_from_table("beta", table)),
+        ("alpha", EvaluatorBinding("alpha", table=table)),
+        ("beta", EvaluatorBinding("beta", table=table)),
     ]
     state = build_state(TINY, tasks, TrainerConfig(total_iterations=iters), seed, SMALL_DIMS)
     run_state(state, np.random.default_rng(seed))
@@ -390,8 +390,8 @@ def transfer_setup(tmp_path):
     ckpt = load_checkpoint(path, TINY)
     table = planted_table(TINY, (0, 1), 0.9, falloff=0.8)
     new_tasks = [
-        ("gamma", binding_from_table("gamma", table)),
-        ("delta", binding_from_table("delta", table)),
+        ("gamma", EvaluatorBinding("gamma", table=table)),
+        ("delta", EvaluatorBinding("delta", table=table)),
     ]
     return state, ckpt, new_tasks
 
@@ -489,7 +489,7 @@ def test_chained_transfer_loads_and_trains(tmp_path):
     table = planted_table(TINY, (1, 0), 0.9, falloff=0.8)
     second = transfer_init(
         load_checkpoint(path, TINY),
-        [("epsilon", binding_from_table("epsilon", table))],
+        [("epsilon", EvaluatorBinding("epsilon", table=table))],
         np.random.default_rng(3),
         config=TrainerConfig(total_iterations=10),
     )

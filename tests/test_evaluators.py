@@ -1,9 +1,12 @@
+import csv
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modelsearch import evaluators
+from modelsearch.config import CHILD_DATASETS, build_evaluators, load_experiment_config
 from modelsearch.errors import (
     InvalidConfig,
     NotBruteForceable,
@@ -14,8 +17,8 @@ from modelsearch.evaluators import (
     ChildBuffers,
     EvaluatorBinding,
     OracleTable,
+    ToyTask,
     binding_from_child_task,
-    binding_from_table,
     brute_force_optimum,
     child_forward_logits,
     child_grads,
@@ -26,15 +29,21 @@ from modelsearch.evaluators import (
     tabular_evaluate,
     train_child_network,
 )
-from modelsearch.fixtures import (
-    child_search_space,
-    planted_pair_a,
-    toy_overlap,
-    toy_separable,
-)
 from modelsearch.space import ParamSpec, SearchSpace
 
 TINY = SearchSpace([ParamSpec("a", (0, 1)), ParamSpec("b", ("x", "y", "z"))])
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CHILD_SPACE = load_experiment_config(CONFIGS / "child-networks.yaml").space
+
+
+def toy_separable(seed=None):
+    name, default_seed, separation = CHILD_DATASETS["separable"]
+    return ToyTask.generate(name, default_seed if seed is None else seed, separation)
+
+
+def toy_overlap(seed=None):
+    name, default_seed, separation = CHILD_DATASETS["overlap"]
+    return ToyTask.generate(name, default_seed if seed is None else seed, separation)
 
 
 def test_reward_from_accuracy():
@@ -95,7 +104,10 @@ def test_oracle_table_requires_complete_coverage():
 def test_oracle_table_csv_round_trip(tmp_path):
     table = planted_table(TINY, (1, 2), 0.9, falloff=0.8)
     path = tmp_path / "table.csv"
-    table.to_csv(path)
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["index", "accuracy"])
+        w.writerows((i, repr(float(a))) for i, a in enumerate(table.accuracies))
     loaded = OracleTable.from_csv(path, TINY)
     assert np.array_equal(loaded.accuracies, table.accuracies)
 
@@ -158,29 +170,32 @@ def test_cli_search_with_bad_table_row_is_config_error(tmp_path, capsys):
 
 def test_brute_force_constant_table_breaks_ties_lexicographically():
     table = OracleTable(TINY, np.full(6, 0.5))
-    cfg, reward = brute_force_optimum(binding_from_table("t", table))
+    cfg, reward = brute_force_optimum(EvaluatorBinding("t", table=table))
     assert TINY.encode(cfg) == (0, 0)
     assert reward == pytest.approx(0.125)
 
 
 def test_brute_force_finds_planted_optimum():
     table = planted_table(TINY, (1, 2), 0.9, falloff=0.8)
-    cfg, reward = brute_force_optimum(binding_from_table("t", table))
+    cfg, reward = brute_force_optimum(EvaluatorBinding("t", table=table))
     assert TINY.encode(cfg) == (1, 2)
     assert reward == pytest.approx(0.9**3)
 
 
 def test_brute_force_two_task_fixture_has_distinct_optima():
-    pair = planted_pair_a()
-    tables = pair.tables()
+    """Every bundled config's planted optimum is its brute-force optimum,
+    and the two planted-pair optima differ in at least 3 positions."""
     optima = {}
-    for t in pair.tasks:
-        cfg, _ = brute_force_optimum(binding_from_table(t.name, tables[t.name]))
-        optima[t.name] = pair.space.encode(cfg)
-        assert optima[t.name] == t.optimum
-    names = list(optima)
-    diff = sum(a != b for a, b in zip(optima[names[0]], optima[names[1]]))
-    assert diff >= 3
+    for path in sorted(CONFIGS.glob("*.yaml")):
+        config = load_experiment_config(path)
+        for task, (name, binding) in zip(config.tasks, build_evaluators(config)):
+            if task.evaluator["kind"] != "planted":
+                continue
+            cfg, _ = brute_force_optimum(binding)
+            optima[path.stem, name] = config.space.encode(cfg)
+            assert optima[path.stem, name] == tuple(task.evaluator["optimum"])
+    first, second = optima["planted-pair", "sentiment"], optima["planted-pair", "language-id"]
+    assert sum(a != b for a, b in zip(first, second)) >= 3
 
 
 def test_brute_force_refuses_non_tabular():
@@ -249,7 +264,7 @@ def _good_config(space):
 
 
 def test_zero_iteration_child_is_at_chance_level():
-    space = child_search_space()
+    space = CHILD_SPACE
     task = toy_overlap(11)
     cfg_items = space.decode([0, 0, 0, 1, 1, 0, 0]).as_dict()
     cfg_items["train_iterations"] = 0
@@ -261,7 +276,7 @@ def test_zero_iteration_child_is_at_chance_level():
 
 
 def test_child_training_is_deterministic():
-    space = child_search_space()
+    space = CHILD_SPACE
     task = toy_separable(7)
     cfg = space.decode([0, 0, 0, 1, 1, 0, 0])
     a = train_child_network(cfg, task, 123)
@@ -270,7 +285,7 @@ def test_child_training_is_deterministic():
 
 
 def test_sensible_config_learns_separable_task():
-    space = child_search_space()
+    space = CHILD_SPACE
     task = toy_separable(7)
     cfg = space.decode([0, 0, 0, 1, 1, 1, 0])  # verified by direct training
     acc = train_child_network(cfg, task, 0)
@@ -278,7 +293,7 @@ def test_sensible_config_learns_separable_task():
 
 
 def test_poor_extractor_hurts_when_frozen():
-    space = child_search_space()
+    space = CHILD_SPACE
     task = toy_separable(7)
     # Japanese extractor buries the signal; frozen keeps it buried
     frozen = space.decode([1, 1, 0, 1, 1, 1, 0])
@@ -293,7 +308,7 @@ def test_invalid_child_configs_rejected():
     cfg = TINY.decode([0, 0])
     with pytest.raises(InvalidConfig):
         train_child_network(cfg, task, 0)
-    space = child_search_space()
+    space = CHILD_SPACE
     from modelsearch.space import ModelConfig
 
     items = space.decode([0, 0, 0, 0, 0, 0, 0]).as_dict()
@@ -357,7 +372,7 @@ def test_flat_training_matches_per_array_loop_bitwise(
 ):
     from modelsearch.space import ModelConfig
 
-    space = child_search_space()
+    space = CHILD_SPACE
     actions = [embedding_index, trainable_index, n_layers_index, 1, 1, 0, l2_index]
     items = space.decode(actions).as_dict()
     items["train_iterations"] = 30
@@ -413,7 +428,7 @@ def test_one_index_draw_equals_per_step_draws(n, batch):
 
 
 def test_frozen_extractor_is_left_untouched():
-    space = child_search_space()
+    space = CHILD_SPACE
     task = toy_separable(7)
     before = {k: v.copy() for k, v in task.extractors.items()}
     for trainable_index in (0, 1):
@@ -481,7 +496,8 @@ def test_loss_and_grads_returns_child_grads_unchanged():
 
 
 def test_unpickled_table_is_read_only_and_equal():
-    table = planted_table(TINY, (1, 2), 0.9, falloff=0.8).with_reward_scale(2.0)
+    accuracies = planted_table(TINY, (1, 2), 0.9, falloff=0.8).accuracies
+    table = OracleTable(TINY, accuracies, reward_scale=2.0)
     copy = pickle.loads(pickle.dumps(table))
     assert not copy.accuracies.flags.writeable
     assert copy.accuracies.tobytes() == table.accuracies.tobytes()
@@ -493,12 +509,37 @@ def test_unpickled_table_is_read_only_and_equal():
 def test_bindings_pickle_and_give_the_same_rewards():
     table = OracleTable(TINY, np.linspace(0.1, 0.9, 6), noise_sigma=0.05)
     child = toy_separable()
-    space = child_search_space()
+    space = CHILD_SPACE
     config = space.decode((0,) * space.n_params)
     for binding, cfg in [
-        (binding_from_table("t", table), TINY.decode((1, 2))),
+        (EvaluatorBinding("t", table=table), TINY.decode((1, 2))),
         (binding_from_child_task("c", child), config),
     ]:
         copy = pickle.loads(pickle.dumps(binding))
         assert copy.name == binding.name
         assert copy(cfg, 7) == binding(cfg, 7)
+
+
+def test_a_built_tabular_binding_holds_its_table_once(monkeypatch):
+    config = load_experiment_config(CONFIGS / "planted-pair.yaml")
+    (_, binding), _ = build_evaluators(config)
+    tables = [v for v in vars(binding).values() if isinstance(v, OracleTable)]
+    assert tables == [binding.table] and binding.fn is None
+    read = []
+    real = evaluators.tabular_evaluate
+
+    def recording(table, config, seed):
+        read.append(table)
+        return real(table, config, seed)
+
+    monkeypatch.setattr(evaluators, "tabular_evaluate", recording)
+    cfg, reward = brute_force_optimum(binding)
+    assert binding(cfg, 0) == reward
+    assert read == [binding.table]
+
+
+def test_a_binding_needs_exactly_one_reward_source():
+    table = OracleTable(TINY, np.full(6, 0.5))
+    for sources in ({}, {"fn": lambda c, s: 0.5, "table": table}):
+        with pytest.raises(ValueError, match="exactly one of fn and table"):
+            EvaluatorBinding("t", **sources)

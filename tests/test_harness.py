@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelsearch.checkpoint import TIMESTAMP_OFFSET, TIMESTAMP_SIZE
 from modelsearch.cli import main as cli_main
@@ -516,6 +520,44 @@ def test_cli_report_on_malformed_event_log_exits_2(tmp_path, capsys):
     bad = runs[1] / "seed_0" / "events.csv"
     assert capsys.readouterr().err.startswith(f"error: event log {bad} is malformed at line 3")
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def report_runs(tmp_path_factory):
+    """A searched run and a second run directory for a damaged copy of its log."""
+    root = tmp_path_factory.mktemp("fuzz")
+    good = run_experiment(write_config(root), mode="search", seeds=[0], out_dir=root / "good")
+    (root / "bad" / "seed_0").mkdir(parents=True)
+    return good, root / "bad"
+
+
+FOREIGN_CELLS = st.one_of(
+    st.sampled_from(["", "0", "-3", "1.5", "nan", "-inf", "1e999", "t0", "t1", '"', "\r"]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cli_report_on_a_damaged_event_log_exits_0_or_names_the_log(report_runs, data):
+    good, bad = report_runs
+    log = bytearray((good / "seed_0" / "events.csv").read_bytes())
+    del log[data.draw(st.integers(0, len(log)), label="cut") :]
+    if log:
+        flips = st.tuples(st.integers(0, len(log) - 1), st.integers(1, 255))
+        for pos, mask in data.draw(st.lists(flips, max_size=4), label="flips"):
+            log[pos] ^= mask
+    for row in data.draw(st.lists(st.lists(FOREIGN_CELLS, max_size=7), max_size=3), label="rows"):
+        log += (",".join(row) + "\n").encode()
+    (bad / "seed_0" / "events.csv").write_bytes(log)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_main(["report", str(good), str(bad), "--threshold", "0.5",
+                       "--out", str(bad / "report.csv")])
+    assert "Traceback" not in err.getvalue()
+    if rc != 0:  # smoothing notes may be logged above the error line
+        assert rc == 2
+        assert err.getvalue().splitlines()[-1].startswith(f"error: event log {bad}/seed_0/")
 
 
 def test_cli_search_and_report_round_trip_task_names_with_csv_syntax(tmp_path):

@@ -200,3 +200,22 @@ def test_clip_global_norm():
     clipped = clip_global_norm(g, 1.0)
     assert abs(np.linalg.norm(clipped) - 1.0) < 1e-12
     assert np.allclose(clipped, g / 5.0)
+
+
+def test_clip_global_norm_of_a_gradient_whose_squares_overflow():
+    g = np.array([1e200, -1e200, 3.0])  # the sum of squares is 2e400
+    with np.errstate(over="ignore"):
+        clipped = clip_global_norm(g, 5.0)
+    assert abs(np.linalg.norm(clipped) - 5.0) < 1e-12
+    assert np.allclose(clipped, np.array([1.0, -1.0, 3e-200]) * (5.0 / np.sqrt(2.0)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_global_norm_leaves_a_non_finite_entry_for_adam(bad):
+    g = np.array([1e200, bad, 3.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        clipped = clip_global_norm(g, 5.0)
+    params = np.zeros(3)
+    with pytest.raises(NonFiniteGradient):
+        adaptive_update(params, clipped, AdamState.zeros(3), 0.01)
+    assert np.array_equal(params, np.zeros(3))

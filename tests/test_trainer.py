@@ -8,8 +8,7 @@ import pytest
 from modelsearch.config import build_evaluators, load_experiment_config
 from modelsearch.controller import ControllerDims
 from modelsearch.errors import BaselineUninitialized, EmptyBank, LengthMismatch
-from modelsearch.evaluators import binding_from_table, planted_table
-from modelsearch.fixtures import reduced_space
+from modelsearch.evaluators import EvaluatorBinding, planted_table
 from modelsearch.space import ParamSpec, SearchSpace
 from modelsearch.trainer import (
     BaselineTable,
@@ -27,13 +26,14 @@ from modelsearch.trainer import (
 
 TINY = SearchSpace([ParamSpec("a", (0, 1)), ParamSpec("b", ("x", "y", "z"))])
 SMALL_DIMS = ControllerDims(hidden_size=8, action_embed=4, task_embed=4, num_layers=2)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def constant_binding(name, space, value=0.5):
     from modelsearch.evaluators import OracleTable
 
     table = OracleTable(space, np.full(space.cardinality(), value))
-    return binding_from_table(name, table)
+    return EvaluatorBinding(name, table=table)
 
 
 # --- advantages -------------------------------------------------------------
@@ -268,7 +268,7 @@ def varied_state(**cfg_kwargs):
     # planted table gives varying rewards, so the critic moves every step
     cfg = TrainerConfig(**cfg_kwargs)
     table = planted_table(TINY, (1, 2), 0.9, falloff=0.7)
-    tasks = [("t", binding_from_table("t", table))]
+    tasks = [("t", EvaluatorBinding("t", table=table))]
     return build_state(TINY, tasks, cfg, 0, SMALL_DIMS)
 
 
@@ -320,9 +320,9 @@ def test_zero_iterations_returns_empty_result():
 
 
 def test_fixed_seed_runs_are_identical():
-    space = reduced_space()
+    space = load_experiment_config(CONFIGS / "planted-pair.yaml").space
     table = planted_table(space, (0, 0, 0, 1, 1, 0, 0), 0.9)
-    tasks = [("t", binding_from_table("t", table))]
+    tasks = [("t", EvaluatorBinding("t", table=table))]
     cfg = TrainerConfig(total_iterations=120)
     r1 = run_search(space, tasks, cfg, 7, SMALL_DIMS)
     r2 = run_search(space, tasks, cfg, 7, SMALL_DIMS)
@@ -345,8 +345,6 @@ def test_evaluator_failures_are_skipped_not_fatal():
             raise RuntimeError("boom")
         return 0.5
 
-    from modelsearch.evaluators import EvaluatorBinding
-
     binding = EvaluatorBinding("flaky", flaky)
     cfg = TrainerConfig(total_iterations=30)
     state = build_state(TINY, [("flaky", binding)], cfg, 0, SMALL_DIMS)
@@ -362,8 +360,6 @@ def test_non_finite_rewards_are_skipped_like_failures(bad, caplog):
     def half_bad(config, seed):
         calls["n"] += 1
         return bad if calls["n"] % 2 == 0 else 0.5
-
-    from modelsearch.evaluators import EvaluatorBinding
 
     binding = EvaluatorBinding("half_bad", half_bad)
     cfg = TrainerConfig(total_iterations=30)
@@ -383,7 +379,7 @@ def test_single_task_tiny_space_convergence_smoke():
         [ParamSpec("a", (0, 1, 2)), ParamSpec("b", (0, 1)), ParamSpec("c", (0, 1, 2, 3))]
     )
     table = planted_table(space, (2, 0, 3), 0.95, falloff=0.8)
-    tasks = [("t", binding_from_table("t", table))]
+    tasks = [("t", EvaluatorBinding("t", table=table))]
     cfg = TrainerConfig(total_iterations=800)
     res = run_search(space, tasks, cfg, 11, SMALL_DIMS)
     rewards = np.array([e.reward for e in res.events])
@@ -392,8 +388,6 @@ def test_single_task_tiny_space_convergence_smoke():
 
 
 # --- pickling ----------------------------------------------------------------
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.mark.parametrize(
