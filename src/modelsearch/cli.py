@@ -61,10 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # the package's log lines go to this call's stderr at this call's level;
+    # handlers other code put on the root logger still get them
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    package_log = logging.getLogger("modelsearch")
+    level = package_log.level
+    package_log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
+    package_log.addHandler(handler)
     try:
         if args.command == "report":
             out = run_experiment(
@@ -91,6 +95,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 2
+    finally:
+        package_log.removeHandler(handler)
+        package_log.setLevel(level)
     print(out)
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, LengthMismatch, UnknownTask
-from .kernel import (
+from .kernel import (  # noqa: F401 - log_softmax stays a name here for perfbench's tracer
     LstmLayerParams,
     log_softmax,
     lstm_sequence_backward,
@@ -81,24 +81,31 @@ class ControllerParams(FlatParams):
     moment.
     """
 
-    __slots__ = ("space", "dims", "n_tasks")
+    __slots__ = ("space", "dims", "n_tasks", "_layers")
 
     def __init__(self, space: SearchSpace, dims: ControllerDims, n_tasks: int, flat: np.ndarray):
         super().__init__(_build_layout(space, dims, n_tasks), flat)
         self.space = space
         self.dims = dims
         self.n_tasks = n_tasks
+        self._layers = None
+
+    def __reduce__(self):
+        # through the constructor, so a copy's views are views of its own vector
+        return ControllerParams, (self.space, self.dims, self.n_tasks, self.flat)
 
     # -- named views ---------------------------------------------------
     def lstm_layers(self) -> list[LstmLayerParams]:
-        return [
-            LstmLayerParams(
-                w_x=self.get(f"lstm{l}.w_x"),
-                w_h=self.get(f"lstm{l}.w_h"),
-                b=self.get(f"lstm{l}.b"),
-            )
-            for l in range(self.dims.num_layers)
-        ]
+        """Each layer's stacked ``(w_x; w_h)`` block and bias, viewing ``flat``."""
+        if self._layers is None:
+            self._layers = []
+            for l in range(self.dims.num_layers):
+                lo, end_x, (in_size, width) = self.layout.offsets[f"lstm{l}.w_x"]
+                start_h, hi, (hidden, _) = self.layout.offsets[f"lstm{l}.w_h"]
+                assert end_x == start_h, "the layout stores w_h right after w_x"
+                w = self.flat[lo:hi].reshape(in_size + hidden, width)
+                self._layers.append(LstmLayerParams(w, self.get(f"lstm{l}.b")))
+        return self._layers
 
     def start_embedding(self) -> np.ndarray:
         return self.get("start_embedding")
@@ -201,9 +208,9 @@ class ForwardPass:
 
 def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one category per row by inverse CDF."""
-    cdf = np.cumsum(probs, axis=1)
+    cdf = np.add.accumulate(probs, axis=1)
     u = rng.random(probs.shape[0])
-    idx = (u[:, None] > cdf).sum(axis=1)
+    idx = np.add.reduce(u[:, None] > cdf, axis=1)
     return np.minimum(idx, probs.shape[1] - 1)
 
 
@@ -216,8 +223,13 @@ def _forward(
 ) -> ForwardPass:
     """Shared forward pass: samples when ``actions`` is None, else replays.
 
-    The same code path serves sampling and scoring so a freshly sampled
-    sequence reproduces its log-probs bit for bit when re-scored.
+    The same code path serves sampling, scoring and recording, so a freshly
+    sampled sequence reproduces its log-probs bit for bit when re-scored
+    with the same batch rows. Row t of one ``(T, B, input_size)`` buffer is
+    step t's input: the task columns are written once, and the action
+    columns as soon as step t - 1 has its actions. Each step takes one
+    max, exp and sum of its logits; the probabilities and the chosen
+    actions' log-probs both come from them.
     """
     space = params.space
     dims = params.dims
@@ -246,8 +258,10 @@ def _forward(
     # the kernel never writes its inputs, so every layer starts from one zero array
     h0 = np.zeros((B, dims.hidden_size))
     state = [(h0, h0)] * dims.num_layers
-    task_e = params.task_embeddings()[task_ids]
-    x_act = np.broadcast_to(params.start_embedding(), (B, dims.action_embed))
+    A = dims.action_embed
+    x = np.empty((T, B, dims.input_size))
+    x[:, :, A:] = params.task_embeddings()[task_ids]
+    x[0, :, :A] = params.start_embedding()
 
     log_probs = np.empty((B, T))
     probs_list: list = []
@@ -256,25 +270,26 @@ def _forward(
     rows = np.arange(B)
 
     for t in range(T):
-        x = np.concatenate([x_act, task_e], axis=1)
-        out, state, recs = lstm_step_record(layers, x, state)
+        out, state, recs = lstm_step_record(layers, x[t], state)
         w, b = params.projection(t)
-        logits = out @ w + b
-        logp = log_softmax(logits)
+        logits = out @ w
+        logits += b
+        z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+        e = np.exp(z)
+        total = np.add.reduce(e, axis=1, keepdims=True)
+        p = e / total if sampling or record else None
         if sampling:
-            p = softmax(logits)
             a_t = _categorical_rows(p, rng)
             out_actions[:, t] = a_t
         else:
             a_t = out_actions[:, t]
-            p = softmax(logits) if record else None
-        log_probs[:, t] = logp[rows, a_t]
+        log_probs[:, t] = z[rows, a_t] - np.log(total[:, 0])
         if record:
             probs_list.append(p)
             hidden_list.append(out)
             records_list.append(recs)
         if t + 1 < T:
-            x_act = params.action_table(t)[a_t]
+            x[t + 1, :, :A] = params.action_table(t)[a_t]
 
     return ForwardPass(
         task_ids=task_ids,

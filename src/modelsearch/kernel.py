@@ -7,16 +7,21 @@ and a single sequence is a batch of one row. The forward step never
 mutates its inputs; the backward pass adds into gradient arrays the
 caller owns.
 
-Gate layout inside the fused ``4H`` dimension is ``[input, forget,
-candidate, output]``. Each layer step applies the sigmoid once across the
-whole fused ``4H`` row; the input, forget and output gates are views into
-that result, and the sigmoid of the candidate column is discarded (the
-candidate takes ``tanh`` of its pre-activation instead).
+A layer's weights are one stacked ``(input_size + H, 4H)`` block ``w``,
+the input map ``w_x`` directly above the hidden map ``w_h``, so a step
+takes one product ``[x, h_prev] @ w``. Gate layout inside the fused ``4H``
+dimension is ``[input, forget, candidate, output]``. Every gate comes
+from one ``tanh`` over the whole row, through
+``sigmoid(v) = (1 + tanh(v / 2)) / 2``: the input, forget and output
+columns are halved before the ``tanh`` and mapped to ``(1 + t) / 2``
+after it, while the candidate column keeps ``tanh`` of its
+pre-activation. ``tanh`` never overflows, so neither does a gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +29,7 @@ from .errors import ShapeMismatch
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The exact logistic function; the LSTM step gets its gates from tanh."""
     # exp of -|x| never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below.
     # minimum(x, -x) rather than -abs(x) keeps the sign bit of a NaN input;
     # the in-place steps keep the temporaries to two arrays of x's size.
@@ -51,34 +57,38 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LstmLayerParams:
-    """Weights of one LSTM layer: fused input/hidden maps and gate biases."""
+    """Weights of one LSTM layer: the stacked input/hidden maps and gate biases."""
 
-    w_x: np.ndarray  # (input_size, 4H)
-    w_h: np.ndarray  # (H, 4H)
+    w: np.ndarray  # (input_size + H, 4H): w_x's rows above w_h's
     b: np.ndarray  # (4H,)
 
     @property
     def hidden_size(self) -> int:
-        return self.w_h.shape[0]
+        return self.w.shape[1] // 4
 
     @property
     def input_size(self) -> int:
-        return self.w_x.shape[0]
+        return self.w.shape[0] - self.hidden_size
+
+    @property
+    def w_x(self) -> np.ndarray:
+        return self.w[: self.input_size]
+
+    @property
+    def w_h(self) -> np.ndarray:
+        return self.w[self.input_size :]
 
     def __post_init__(self):
-        h = self.hidden_size
-        if self.w_x.shape[1] != 4 * h or self.w_h.shape != (h, 4 * h) or self.b.shape != (4 * h,):
-            raise ShapeMismatch(
-                f"inconsistent LSTM layer shapes {self.w_x.shape} {self.w_h.shape} {self.b.shape}"
-            )
+        w, b = self.w, self.b
+        if w.ndim != 2 or w.shape[1] % 4 or w.shape[0] <= w.shape[1] // 4 or b.shape != w.shape[1:]:
+            raise ShapeMismatch(f"inconsistent LSTM layer shapes {w.shape} {b.shape}")
 
 
-@dataclass
+@dataclass(slots=True)
 class LstmStepRecord:
     """Activations of one layer at one timestep, retained for backprop."""
 
-    x: np.ndarray
-    h_prev: np.ndarray
+    xh: np.ndarray  # [x, h_prev]
     c_prev: np.ndarray
     i: np.ndarray
     f: np.ndarray
@@ -88,21 +98,42 @@ class LstmStepRecord:
 
     def take(self, idx) -> "LstmStepRecord":
         """The record restricted to the rows ``idx``; every array is copied once."""
-        return LstmStepRecord(*(getattr(self, f.name).take(idx, axis=0) for f in fields(self)))
+        return LstmStepRecord(*(getattr(self, n).take(idx, axis=0) for n in self.__slots__))
+
+
+@functools.lru_cache
+def _gate_rows(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column scale and offset of the fused row: 1/2 and 1/2 on the
+    sigmoid gates; 1 and -0.0 on the candidate, where ``t * 1 + -0.0`` is
+    ``t`` bit for bit."""
+    scale = np.full(4 * h, 0.5)
+    offset = np.full(4 * h, 0.5)
+    scale[2 * h : 3 * h] = 1.0
+    offset[2 * h : 3 * h] = -0.0
+    scale.flags.writeable = offset.flags.writeable = False
+    return scale, offset
 
 
 def _layer_forward(p: LstmLayerParams, x, h_prev, c_prev):
     h = p.hidden_size
-    z = x @ p.w_x + h_prev @ p.w_h + p.b
-    s = sigmoid(z)
-    i = s[..., 0 * h : 1 * h]
-    f = s[..., 1 * h : 2 * h]
-    g = np.tanh(z[..., 2 * h : 3 * h])
-    o = s[..., 3 * h : 4 * h]
+    scale, offset = _gate_rows(h)
+    xh = np.concatenate([x, h_prev], axis=1)
+    z = xh @ p.w
+    z += p.b
+    # halve the sigmoid columns, tanh the row, then (1 + t) / 2 as t/2 + 1/2;
+    # every gate stays a view of this one array
+    z *= scale
+    np.tanh(z, out=z)
+    z *= scale
+    z += offset
+    i = z[:, 0 * h : 1 * h]
+    f = z[:, 1 * h : 2 * h]
+    g = z[:, 2 * h : 3 * h]
+    o = z[:, 3 * h : 4 * h]
     c = f * c_prev + i * g
     tc = np.tanh(c)
     out = o * tc
-    return out, c, LstmStepRecord(x, h_prev, c_prev, i, f, g, o, tc)
+    return out, c, LstmStepRecord(xh, c_prev, i, f, g, o, tc)
 
 
 def lstm_step_record(params, x: np.ndarray, state):
@@ -142,9 +173,9 @@ def lstm_sequence_backward(params, records, d_outputs, grads):
     ``records[t][l]`` is layer l's LstmStepRecord at step t as produced by
     lstm_step_record; ``d_outputs[t]`` is the loss gradient at the top-layer
     output of step t. ``grads[l]`` is an LstmLayerParams of gradient arrays
-    shaped like layer l's weights; each step's gradient is added into them
-    in place. Returns d_inputs, where d_inputs[t] is the gradient at the
-    bottom-layer input of step t.
+    shaped like layer l's weights, the stacked block as one array; each
+    step's gradient is added into them in place. Returns d_inputs, where
+    d_inputs[t] is the gradient at the bottom-layer input of step t.
     """
     params = list(params)
     n_layers = len(params)
@@ -179,9 +210,10 @@ def lstm_sequence_backward(params, records, d_outputs, grads):
                 axis=-1,
             )
             g = grads[l]
-            g.w_x[...] += rec.x.T @ dz
-            g.w_h[...] += rec.h_prev.T @ dz
+            g.w[...] += rec.xh.T @ dz
             g.b[...] += dz.sum(axis=0)
+            # two input products: on OpenBLAS one (B, 4H) @ (4H, input_size + H)
+            # product leaves the small-matrix kernels at B = 16 and takes longer
             dh_carry[l] = dz @ params[l].w_h.T
             d_above = dz @ params[l].w_x.T
         d_inputs[t] = d_above

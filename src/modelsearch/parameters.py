@@ -2,8 +2,9 @@
 
 Keeping every learnable weight in a single contiguous vector makes the
 optimizer updates, Polyak blending, gradient clipping, checkpointing and
-finite-difference checks one-liners. Named views are created on demand and
-share memory with the flat vector.
+finite-difference checks one-liners. Named views are created on first use,
+kept, and share memory with the flat vector: the vector is only ever
+written in place, so a kept view never goes stale.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class ParamLayout:
 class FlatParams:
     """A layout plus its flat float64 value vector."""
 
-    __slots__ = ("layout", "flat")
+    __slots__ = ("layout", "flat", "_views")
 
     def __init__(self, layout: ParamLayout, flat: np.ndarray):
         flat = np.asarray(flat, dtype=np.float64)
@@ -44,11 +45,15 @@ class FlatParams:
             )
         self.layout = layout
         self.flat = flat
+        self._views = {}
 
     @classmethod
     def zeros(cls, layout: ParamLayout) -> "FlatParams":
         return cls(layout, np.zeros(layout.total_size))
 
     def get(self, name: str) -> np.ndarray:
-        lo, hi, shape = self.layout.offsets[name]
-        return self.flat[lo:hi].reshape(shape)
+        view = self._views.get(name)
+        if view is None:
+            lo, hi, shape = self.layout.offsets[name]
+            view = self._views[name] = self.flat[lo:hi].reshape(shape)
+        return view

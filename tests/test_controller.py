@@ -1,10 +1,13 @@
+import dataclasses
+import pickle
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from modelsearch.config import load_experiment_config
+from modelsearch.checkpoint import load_checkpoint, save_checkpoint
+from modelsearch.config import build_evaluators, load_experiment_config
 from modelsearch.controller import (
     ControllerDims,
     ControllerParams,
@@ -20,7 +23,9 @@ from modelsearch.controller import (
 )
 from modelsearch.errors import UnknownTask
 from modelsearch.kernel import lstm_sequence_backward, lstm_step_record
+from modelsearch.optim import AdamState, adaptive_update, polyak_average
 from modelsearch.space import ParamSpec, SearchSpace, default_search_space
+from modelsearch.trainer import TrainerConfig, build_state, train_iteration
 
 TINY = SearchSpace([ParamSpec("a", (0, 1)), ParamSpec("b", ("x", "y", "z"))])
 SMALL_DIMS = ControllerDims(hidden_size=8, action_embed=4, task_embed=4, num_layers=2)
@@ -360,3 +365,125 @@ def test_backward_with_every_row_active_is_the_full_batch_path():
     assert np.array_equal(
         policy_backward(params, fwd, d), full_batch_policy_backward(params, fwd, d)
     )
+
+
+@pytest.mark.parametrize("num_layers", [1, 3])
+def test_policy_gradient_matches_finite_differences_at_other_depths(num_layers):
+    # unequal embeddings: layer 0's stacked block is taller than the others'
+    space = SearchSpace(
+        [ParamSpec("a", (0, 1)), ParamSpec("b", (0, 1, 2)), ParamSpec("c", (0, 1))]
+    )
+    dims = ControllerDims(hidden_size=3, action_embed=2, task_embed=5, num_layers=num_layers)
+    params = init_controller(space, 2, 42, dims)
+    params.flat *= 5.0  # weights in +-0.4 keep the lowest layer's gradient well above 1e-6
+    task_ids = np.array([0, 1, 1])
+    actions = np.array([[0, 2, 1], [1, 0, 0], [1, 1, 1]])
+    probe = np.random.default_rng(num_layers).normal(size=(3, space.n_params))
+
+    def loss_of(flat):
+        return float(np.sum(probe * teacher_forced(params.with_flat(flat), task_ids, actions).log_probs))
+
+    grads = policy_backward(params, teacher_forced(params, task_ids, actions), probe)
+    h = 1e-5
+    for i in range(grads.size):
+        up = params.flat.copy()
+        up[i] += h
+        dn = params.flat.copy()
+        dn[i] -= h
+        fd = (loss_of(up) - loss_of(dn)) / (2 * h)
+        assert abs(grads[i] - fd) / max(abs(fd), 1e-6) < 1e-4, i
+
+
+# --- the controller's cached weight views --------------------------------------
+
+
+def controller_views(params):
+    """Every array the controller pass reads, through its accessors."""
+    views = [params.start_embedding(), params.task_embeddings()]
+    for layer in params.lstm_layers():
+        views += [layer.w, layer.b]
+    for t in range(params.space.n_params):
+        views += [*params.projection(t), params.action_table(t)]
+    return views
+
+
+def assert_views_read_own_vector(params):
+    """Each view is a view of ``params.flat`` and equals a freshly built one."""
+    fresh = ControllerParams(params.space, params.dims, params.n_tasks, params.flat.copy())
+    for got, want in zip(controller_views(params), controller_views(fresh), strict=True):
+        assert np.shares_memory(got, params.flat)
+        assert np.array_equal(got, want)
+
+
+def test_cached_views_read_an_in_place_adam_step_and_polyak_blend():
+    actor = init_controller(TINY, 2, 0, SMALL_DIMS)
+    critic = actor.copy()
+    before = [v.copy() for v in controller_views(critic)]
+    controller_views(actor)
+    grads = np.random.default_rng(1).normal(size=critic.flat.shape)
+    adaptive_update(critic.flat, grads, AdamState.zeros(critic.flat.size), 0.01)
+    assert_views_read_own_vector(critic)
+    assert not any(np.array_equal(a, b) for a, b in zip(before, controller_views(critic)))
+    polyak_average(actor.flat, critic.flat, 0.5)
+    assert_views_read_own_vector(actor)
+    actions = (1, 2)
+    assert np.array_equal(
+        sequence_log_probs(actor, 1, actions), sequence_log_probs(actor.copy(), 1, actions)
+    )
+
+
+def test_stacked_lstm_blocks_view_the_named_weights_and_gradients():
+    params, fwd, rng = batch20_pass()
+    d = rng.normal(size=(20, 1)) * np.ones(params.space.n_params) / 20
+    grads = params.with_flat(policy_backward(params, fwd, d))
+    for p in (params, grads):
+        for l, layer in enumerate(p.lstm_layers()):
+            w_x, w_h = p.get(f"lstm{l}.w_x"), p.get(f"lstm{l}.w_h")
+            assert np.shares_memory(layer.w, p.flat)
+            assert np.array_equal(layer.w, np.vstack([w_x, w_h]))
+            assert np.array_equal(layer.w_x, w_x) and np.array_equal(layer.w_h, w_h)
+            assert np.any(w_x) and np.any(w_h)
+
+
+def test_unpickled_controller_views_its_own_vector():
+    params = init_controller(TINY, 2, 0, SMALL_DIMS)
+    controller_views(params)  # the caches are full when it pickles
+    copy = pickle.loads(pickle.dumps(params))
+    assert type(copy) is ControllerParams
+    assert not np.shares_memory(copy.flat, params.flat)
+    copy.flat += 0.5
+    assert_views_read_own_vector(copy)
+
+
+def test_unpickled_trainer_state_trains_its_own_vectors():
+    config = load_experiment_config(Path(__file__).parents[1] / "configs" / "planted-pair.yaml")
+    cfg = dataclasses.replace(config.trainer, steps_per_sync=2)
+    rng = np.random.default_rng(5)
+    state = build_state(config.space, build_evaluators(config), cfg, rng, config.dims)
+    for _ in range(3):
+        train_iteration(state, rng)
+    copy, copy_rng = pickle.loads(pickle.dumps((state, rng)))
+    for _ in range(4):  # Adam steps and two Polyak blends, in place
+        train_iteration(state, rng)
+        train_iteration(copy, copy_rng)
+    for name in ("actor", "critic"):
+        ours, theirs = getattr(copy, name), getattr(state, name)
+        assert_views_read_own_vector(ours)
+        assert ours.flat.tobytes() == theirs.flat.tobytes()
+        assert not any(np.shares_memory(v, theirs.flat) for v in controller_views(ours))
+
+
+def test_copies_grown_and_loaded_controllers_have_their_own_views(tmp_path):
+    tasks = [(f"t{i}", None) for i in range(2)]
+    state = build_state(TINY, tasks, TrainerConfig(), 0, SMALL_DIMS)
+    params = state.actor
+    controller_views(params)
+    save_checkpoint(state, tmp_path / "c.bin")
+    loaded = load_checkpoint(tmp_path / "c.bin", TINY)
+    grown, _ = add_task(params, np.random.default_rng(0))
+    for other in (params.copy(), grown, loaded.actor, loaded.critic):
+        assert other.lstm_layers() is not params.lstm_layers()
+        assert not any(np.shares_memory(v, params.flat) for v in controller_views(other))
+        other.flat += 0.5
+        assert_views_read_own_vector(other)
+    assert not any(np.shares_memory(v, loaded.critic.flat) for v in controller_views(loaded.actor))

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import textwrap
 from pathlib import Path
 
@@ -256,6 +257,31 @@ def test_cli_search_and_report(tmp_path, capsys):
     lines = report_out.read_text().splitlines()
     assert lines[0] == "run,seed,task,iterations_to_threshold,best_reward,auc_smoothed"
     assert len(lines) == 5  # 2 runs x 1 seed x 2 tasks
+
+
+def test_cli_logs_to_the_stderr_and_at_the_level_of_each_call(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path)
+    runs = [str(tmp_path / "c1"), str(tmp_path / "c2")]
+    for run in runs:
+        assert cli_main(["search", "--config", str(cfg_path), "--seed", "0", "--out", run]) == 0
+    report = ["report", *runs, "--threshold", "0.1", "--out", str(tmp_path / "cmp.csv")]
+
+    def run_and_probe(*args, **kwargs):
+        logging.getLogger("modelsearch.harness").debug("probe")
+        return run_experiment(*args, **kwargs)
+
+    monkeypatch.setattr("modelsearch.cli.run_experiment", run_and_probe)
+    logs = []
+    for argv in (report, report, report, ["-v", *report], report):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli_main(argv) == 0
+        logs.append(err.getvalue())
+    for log in logs:
+        assert "INFO modelsearch.smoothing: smoothing window shrunk" in log
+    assert ["DEBUG modelsearch.harness: probe" in log for log in logs] == [
+        False, False, False, True, False
+    ]
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -518,7 +544,9 @@ def test_cli_report_on_malformed_event_log_exits_2(tmp_path, capsys):
     rc = cli_main(["report", *map(str, runs), "--threshold", "0.5", "--out", str(tmp_path / "c.csv")])
     assert rc == 2
     bad = runs[1] / "seed_0" / "events.csv"
-    assert capsys.readouterr().err.startswith(f"error: event log {bad} is malformed at line 3")
+    # the smoothing log lines of the good run come first
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: event log {bad} is malformed at line 3")
     assert not (tmp_path / "c.csv").exists()
 
 

@@ -27,15 +27,12 @@ def make_layers(input_size, hidden, n_layers, rng=None, scale=0.0):
             w_x = rng.normal(0, scale, (d, 4 * hidden))
             w_h = rng.normal(0, scale, (hidden, 4 * hidden))
             b = rng.normal(0, scale, 4 * hidden)
-        layers.append(LstmLayerParams(w_x, w_h, b))
+        layers.append(LstmLayerParams(np.vstack([w_x, w_h]), b))
     return layers
 
 
 def zero_grads(layers):
-    return [
-        LstmLayerParams(np.zeros_like(p.w_x), np.zeros_like(p.w_h), np.zeros_like(p.b))
-        for p in layers
-    ]
+    return [LstmLayerParams(np.zeros_like(p.w), np.zeros_like(p.b)) for p in layers]
 
 
 def zero_state(n_layers, hidden, batch):
@@ -81,10 +78,12 @@ def test_unbatched_input_rejected():
 
 
 def test_misshaped_layer_rejected_at_construction():
+    with pytest.raises(ShapeMismatch):  # a fused width that is not 4H
+        LstmLayerParams(np.zeros((7, 15)), np.zeros(15))
+    with pytest.raises(ShapeMismatch):  # no input rows above the hidden map
+        LstmLayerParams(np.zeros((4, 16)), np.zeros(16))
     with pytest.raises(ShapeMismatch):
-        LstmLayerParams(np.zeros((3, 16)), np.zeros((4, 12)), np.zeros(16))
-    with pytest.raises(ShapeMismatch):
-        LstmLayerParams(np.zeros((3, 16)), np.zeros((4, 16)), np.zeros(12))
+        LstmLayerParams(np.zeros((7, 16)), np.zeros(12))
 
 
 # --- bit-exactness against the mask-split, per-gate reference forms ----------
@@ -99,13 +98,17 @@ def _sigmoid_mask_split(x):
     return out
 
 
+def _sigmoid_by_tanh(v):
+    return (1.0 + np.tanh(v / 2.0)) / 2.0
+
+
 def _layer_forward_per_gate(p, x, h_prev, c_prev):
     h = p.hidden_size
-    z = x @ p.w_x + h_prev @ p.w_h + p.b
-    i = _sigmoid_mask_split(z[..., 0 * h : 1 * h])
-    f = _sigmoid_mask_split(z[..., 1 * h : 2 * h])
+    z = np.concatenate([x, h_prev], axis=1) @ p.w + p.b
+    i = _sigmoid_by_tanh(z[..., 0 * h : 1 * h])
+    f = _sigmoid_by_tanh(z[..., 1 * h : 2 * h])
     g = np.tanh(z[..., 2 * h : 3 * h])
-    o = _sigmoid_mask_split(z[..., 3 * h : 4 * h])
+    o = _sigmoid_by_tanh(z[..., 3 * h : 4 * h])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     return o * tc, c, (i, f, g, o, c, tc)
