@@ -183,6 +183,23 @@ class SampledModel:
     behavior_log_probs: np.ndarray  # per step, <= 0
 
 
+class Workspace:
+    """Memory that ``policy_backward`` reuses from one call to the next.
+
+    It is sized once, for one controller layout and batches of at most
+    ``batch`` rows. A result that lives in a workspace is overwritten by
+    the next call that is given the same workspace; a call given none
+    allocates its own arrays, and nothing writes them later.
+    """
+
+    def __init__(self, params: ControllerParams, batch: int):
+        self.batch = POSITIVE_INT.check("batch", batch)
+        self.grads = ControllerParams.zeros(params.space, params.dims, params.n_tasks)
+
+    def fits(self, params: ControllerParams, batch: int) -> bool:
+        return self.grads.layout is params.layout and batch <= self.batch
+
+
 @dataclass
 class ForwardPass:
     """Recorded teacher-forced pass, kept around for the backward pass."""
@@ -329,12 +346,16 @@ def teacher_forced(params: ControllerParams, task_ids, actions) -> ForwardPass:
 
 
 def policy_backward(
-    params: ControllerParams, fwd: ForwardPass, d_log_probs: np.ndarray
+    params: ControllerParams,
+    fwd: ForwardPass,
+    d_log_probs: np.ndarray,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """Exact gradients of a scalar loss given d loss / d log_probs.
 
     ``d_log_probs`` has shape (B, T), matching ``fwd.log_probs``. Returns a
-    flat gradient vector aligned with the parameter layout.
+    flat gradient vector aligned with the parameter layout: a new one, or
+    with ``work`` the workspace's own, zeroed and then filled.
 
     A row of ``d_log_probs`` that is all zero adds nothing to any gradient,
     so only the other rows are backpropagated: nothing when every row is
@@ -351,7 +372,11 @@ def policy_backward(
     if not fwd.records:
         raise ValueError("forward pass was not recorded; call teacher_forced")
 
-    grads = ControllerParams.zeros(space, dims, params.n_tasks)
+    if work is None:
+        grads = ControllerParams.zeros(space, dims, params.n_tasks)
+    else:
+        grads = work.grads
+        grads.flat.fill(0.0)
     active = np.flatnonzero(d_log_probs.any(axis=1))
     if active.size == 0:
         return grads.flat

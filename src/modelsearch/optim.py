@@ -6,12 +6,15 @@ the actor/critic controller pair at sync boundaries.
 
 Adam, Adagrad and Polyak averaging update the arrays they are given in
 place (the weights, and Adam's moments or Adagrad's accumulator) and
-return them. Clipping returns a value and leaves its input alone.
+return them. Clipping returns a value and leaves its input alone, unless
+it is given ``out``. Adam keeps its two temporaries in its state, and the
+Polyak blend may borrow one of them, so a training loop that repeats
+them allocates no vector of the weights' size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,13 +23,29 @@ from .errors import NonFiniteGradient, ShapeMismatch
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count, plus two scratch vectors of their size.
+
+    The scratch holds no state: it is built on first use, never compared
+    and never pickled.
+    """
+
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
         return cls(m=np.zeros(n), v=np.zeros(n), step=0)
+
+    def scratch(self) -> np.ndarray:
+        """A ``(2, n)`` array whose contents any caller may overwrite."""
+        if self._scratch is None or self._scratch.shape[1:] != self.m.shape:
+            self._scratch = np.empty((2,) + self.m.shape)
+        return self._scratch
+
+    def __getstate__(self):
+        return {**self.__dict__, "_scratch": None}
 
 
 def adaptive_update(
@@ -41,7 +60,8 @@ def adaptive_update(
     """Bias-corrected Adam step; returns (params, state).
 
     ``params``, ``state.m``, ``state.v`` and ``state.step`` are updated in
-    place, and only after the gradient has passed its checks.
+    place, and only after the gradient has passed its checks. The two
+    temporaries are ``state.scratch()``.
     """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -52,9 +72,10 @@ def adaptive_update(
     if not np.all(np.isfinite(grads)):
         raise NonFiniteGradient("gradient contains NaN or inf")
     t = state.step + 1
+    tmp, denom = state.scratch()
     # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, in the order the
     # out-of-place expressions evaluate them
-    tmp = np.multiply(grads, 1.0 - beta1)
+    np.multiply(grads, 1.0 - beta1, out=tmp)
     state.m *= beta1
     state.m += tmp
     np.square(grads, out=tmp)
@@ -63,7 +84,7 @@ def adaptive_update(
     state.v += tmp
     state.step = t
     # params - lr * m_hat / (sqrt(v_hat) + eps)
-    denom = np.divide(state.v, 1.0 - beta2**t)
+    np.divide(state.v, 1.0 - beta2**t, out=denom)
     np.sqrt(denom, out=denom)
     denom += eps
     np.divide(state.m, 1.0 - beta1**t, out=tmp)
@@ -111,8 +132,14 @@ def adagrad_l2_update(
     return params, accumulator
 
 
-def polyak_average(weights_a: np.ndarray, weights_b: np.ndarray, keep: float) -> np.ndarray:
-    """Write keep * a + (1 - keep) * b into ``weights_a`` and return it."""
+def polyak_average(
+    weights_a: np.ndarray, weights_b: np.ndarray, keep: float, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Write keep * a + (1 - keep) * b into ``weights_a`` and return it.
+
+    ``scratch``, an array of a's shape that is neither a nor b, holds the
+    temporary; without it the temporary is allocated.
+    """
     a = np.asarray(weights_a, dtype=np.float64)
     b = np.asarray(weights_b, dtype=np.float64)
     if a.shape != b.shape:
@@ -123,26 +150,34 @@ def polyak_average(weights_a: np.ndarray, weights_b: np.ndarray, keep: float) ->
         a[...] = b
     elif keep != 1.0:
         # (1 - keep) * b first, so that b may be a itself
-        tmp = np.multiply(b, 1.0 - keep)
+        tmp = np.multiply(b, 1.0 - keep, out=scratch)
         a *= keep
         a += tmp
     return a
 
 
-def clip_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:
+def clip_global_norm(
+    grads: np.ndarray, max_norm: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Scale the flat gradient vector so its L2 norm is at most max_norm.
 
     A NaN or infinite entry is returned as it is, for the optimizer's check.
+    Without ``out`` a gradient that needs no scaling is returned itself and
+    a scaled one is a new array; with ``out`` (which may be ``grads``) the
+    result is written there, with the same bits.
     """
     norm = float(np.linalg.norm(grads))
-    if norm <= max_norm or norm == 0.0:
+    if norm > max_norm and np.isfinite(norm):
+        return np.multiply(grads, max_norm / norm, out=out)
+    if norm > max_norm:
+        # the sum of squares overflowed: clip grads / max|g|, whose norm is
+        # at least 1 and finite
+        big = float(np.max(np.abs(grads)))
+        if np.isfinite(big):
+            unit = np.divide(grads, big, out=out)
+            unit *= max_norm / float(np.linalg.norm(unit))
+            return unit
+    if out is None:
         return grads
-    if np.isfinite(norm):
-        return grads * (max_norm / norm)
-    # the sum of squares overflowed: clip grads / max|g|, whose norm is at
-    # least 1 and finite
-    big = float(np.max(np.abs(grads)))
-    if not np.isfinite(big):
-        return grads
-    unit = grads / big
-    return unit * (max_norm / float(np.linalg.norm(unit)))
+    out[...] = grads
+    return out

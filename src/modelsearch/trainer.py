@@ -29,6 +29,7 @@ import numpy as np
 from .controller import (
     ControllerDims,
     ControllerParams,
+    Workspace,
     init_controller,
     policy_backward,
     sample_sequence,
@@ -201,7 +202,8 @@ class TrainerState:
     named ``task_names[i]``. A task is searched exactly when it has an
     evaluator: ``evaluators`` maps those task ids, in increasing order, to
     their bindings. The search space is the controllers' own,
-    ``state.actor.space``.
+    ``state.actor.space``. ``work`` is the critic step's reusable memory:
+    built on first use and never pickled, so every copy builds its own.
     """
 
     task_names: list[str]
@@ -213,6 +215,16 @@ class TrainerState:
     baselines: BaselineTable
     config: TrainerConfig
     iteration: int = 0
+    work: Workspace | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "work": None}
+
+    def workspace(self) -> Workspace:
+        """The critic step's workspace, rebuilt when it no longer fits."""
+        if self.work is None or not self.work.fits(self.critic, self.config.batch_size):
+            self.work = Workspace(self.critic, self.config.batch_size)
+        return self.work
 
 
 def build_state(
@@ -274,12 +286,14 @@ def _critic_step(state: TrainerState, rng) -> float | None:
     )
     fwd = teacher_forced(state.critic, task_ids, actions)
     loss, d_lp = ppo_clipped_loss(fwd.log_probs, old_lp, adv, cfg.clip_epsilon)
-    grads = policy_backward(state.critic, fwd, d_lp)
+    grads = policy_backward(state.critic, fwd, d_lp, state.workspace())
     if cfg.grad_clip_norm is not None:
-        grads = clip_global_norm(grads, cfg.grad_clip_norm)
+        clip_global_norm(grads, cfg.grad_clip_norm, out=grads)
     adaptive_update(state.critic.flat, grads, state.adam, cfg.critic_lr)
     if state.adam.step % cfg.steps_per_sync == 0:
-        polyak_average(state.actor.flat, state.critic.flat, cfg.polyak_keep)
+        polyak_average(
+            state.actor.flat, state.critic.flat, cfg.polyak_keep, state.adam.scratch()[0]
+        )
     return loss
 
 

@@ -1,3 +1,6 @@
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +86,29 @@ def test_in_place_updates_match_out_of_place_formulas_bitwise():
         ref_ada = ref_ada - lr * g_reg / np.sqrt(ref_acc + 1e-10)
         assert np.array_equal(_bits(p_ada), _bits(ref_ada))
         assert np.array_equal(_bits(acc), _bits(ref_acc))
+
+
+def test_adam_reuses_its_scratch_and_never_pickles_it():
+    rng = np.random.default_rng(8)
+    n = 50_000  # 400 KB per vector: one allocated temporary would show
+    params, state = rng.normal(0, 1, n), AdamState.zeros(n)
+    adaptive_update(params, rng.normal(0, 1, n), state, 0.01)
+    scratch = state.scratch()
+    assert scratch.shape == (2, n)
+    g = rng.normal(0, 1, n)
+    tracemalloc.start()
+    try:
+        adaptive_update(params, g, state, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert state.scratch() is scratch
+    fresh = AdamState(state.m.copy(), state.v.copy(), state.step)
+    assert len(pickle.dumps(state)) == len(pickle.dumps(fresh))
+    copy = pickle.loads(pickle.dumps(state))
+    assert np.array_equal(copy.m, state.m) and copy.step == state.step
+    assert copy.scratch() is not scratch
 
 
 def test_adam_updates_the_weights_it_is_given():
@@ -184,6 +210,19 @@ def test_polyak_writes_into_its_first_argument(keep):
     assert np.array_equal(_bits(a), _bits(keep * a1 + (1.0 - keep) * a1))
 
 
+@pytest.mark.parametrize("keep", [0.0, 0.3, 1.0])
+def test_polyak_with_scratch_gives_the_same_bits(keep):
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(0, 1, 33), rng.normal(0, 1, 33)
+    want = polyak_average(a.copy(), b, keep)
+    scratch = np.full(33, np.nan)
+    assert polyak_average(a, b, keep, scratch) is a
+    assert np.array_equal(_bits(a), _bits(want))
+    a1 = a.copy()
+    polyak_average(a, a, keep, scratch)
+    assert np.array_equal(_bits(a), _bits(polyak_average(a1, a1, keep)))
+
+
 @settings(max_examples=50)
 @given(
     st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
@@ -219,3 +258,23 @@ def test_clip_global_norm_leaves_a_non_finite_entry_for_adam(bad):
     with pytest.raises(NonFiniteGradient):
         adaptive_update(params, clipped, AdamState.zeros(3), 0.01)
     assert np.array_equal(params, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "g, max_norm",
+    [
+        ([3.0, 4.0], 10.0),  # no scaling
+        ([3.0, 4.0], 1.0),  # scaled
+        ([1e200, -1e200, 3.0], 5.0),  # the sum of squares overflows
+        ([1e200, np.nan, 3.0], 5.0),  # left for Adam's check
+    ],
+)
+def test_clip_global_norm_into_out_gives_the_same_bits(g, max_norm):
+    g = np.array(g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = clip_global_norm(g.copy(), max_norm).copy()
+        out = np.empty_like(g)
+        assert clip_global_norm(g, max_norm, out=out) is out
+        assert np.array_equal(_bits(out), _bits(want))
+        assert clip_global_norm(g, max_norm, out=g) is g
+    assert np.array_equal(_bits(g), _bits(want))
