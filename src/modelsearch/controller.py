@@ -17,13 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, LengthMismatch, UnknownTask
+from .errors import IndexOutOfRange, LengthMismatch, ShapeMismatch, UnknownTask
 from .kernel import (  # noqa: F401 - log_softmax stays a name here for perfbench's tracer
     LstmLayerParams,
+    LstmRecord,
+    Scratch,
     log_softmax,
+    lstm_backward_floats_per_row,
     lstm_sequence_backward,
     lstm_step_record,
     softmax,
+    take_into,
 )
 from .parameters import FlatParams, ParamLayout
 from .rules import POSITIVE_INT, check_fields
@@ -183,18 +187,45 @@ class SampledModel:
     behavior_log_probs: np.ndarray  # per step, <= 0
 
 
+def _pass_floats_per_row(params: ControllerParams) -> int:
+    """Floats per batch row of a recorded pass: log-probs, probabilities,
+    top-layer outputs and one LstmRecord per layer."""
+    T = params.space.n_params
+    return (
+        T
+        + sum(params.space.choice_counts)
+        + T * params.dims.hidden_size
+        + sum(LstmRecord.floats_per_row(p, T) for p in params.lstm_layers())
+    )
+
+
 class Workspace:
-    """Memory that ``policy_backward`` reuses from one call to the next.
+    """Memory that ``teacher_forced`` and ``policy_backward`` reuse.
 
     It is sized once, for one controller layout and batches of at most
-    ``batch`` rows. A result that lives in a workspace is overwritten by
-    the next call that is given the same workspace; a call given none
+    ``batch`` rows, and holds one scratch per function and the gradient
+    vector. A result that lives in a workspace is overwritten by the next
+    call of the same function that is given it; a call given none
     allocates its own arrays, and nothing writes them later.
     """
 
     def __init__(self, params: ControllerParams, batch: int):
         self.batch = POSITIVE_INT.check("batch", batch)
-        self.grads = ControllerParams.zeros(params.space, params.dims, params.n_tasks)
+        T, dims = params.space.n_params, params.dims
+        per_row = _pass_floats_per_row(params)
+        # the forward pass also fills its (T, B, input) inputs; the backward
+        # gathers a pass's active rows, their output gradients and the
+        # kernel's working arrays
+        self.forward = Scratch(batch * (per_row + T * dims.input_size))
+        self.backward = Scratch(
+            batch
+            * (
+                per_row
+                + T * dims.hidden_size
+                + lstm_backward_floats_per_row(params.lstm_layers(), T)
+            )
+        )
+        self.grads = ControllerParams.zeros(params.space, dims, params.n_tasks)
 
     def fits(self, params: ControllerParams, batch: int) -> bool:
         return self.grads.layout is params.layout and batch <= self.batch
@@ -202,24 +233,30 @@ class Workspace:
 
 @dataclass
 class ForwardPass:
-    """Recorded teacher-forced pass, kept around for the backward pass."""
+    """A forward pass; a recorded one keeps what the backward pass needs.
+
+    Recorded arrays are sequence-major: ``hidden`` is ``(T, B, H)`` and
+    each layer's LstmRecord stores its steps along the first axis. Steps
+    choose among different numbers of actions, so ``probs`` is a list.
+    """
 
     task_ids: np.ndarray  # (B,)
     actions: np.ndarray  # (B, T) int
     log_probs: np.ndarray  # (B, T)
-    probs: list  # per step: (B, k_t)
-    hidden: list  # per step: (B, H) top-layer output
-    records: list  # per step: list of kernel LstmStepRecord, one per layer
+    probs: list | None = None  # per step: (B, k_t)
+    hidden: np.ndarray | None = None  # (T, B, H): top-layer outputs
+    records: list | None = None  # per layer: kernel LstmRecord
 
-    def rows(self, idx: np.ndarray) -> "ForwardPass":
-        """The pass restricted to the rows ``idx``; every array is copied once."""
+    def rows(self, idx: np.ndarray, empty=np.empty) -> "ForwardPass":
+        """The pass restricted to the rows ``idx``: one take per array, each
+        into a new array from ``empty``."""
         return ForwardPass(
             task_ids=self.task_ids.take(idx, axis=0),
             actions=self.actions.take(idx, axis=0),
-            log_probs=self.log_probs.take(idx, axis=0),
-            probs=[p.take(idx, axis=0) for p in self.probs],
-            hidden=[h.take(idx, axis=0) for h in self.hidden],
-            records=[[r.take(idx) for r in step] for step in self.records],
+            log_probs=take_into(self.log_probs, idx, 0, empty),
+            probs=[take_into(p, idx, 0, empty) for p in self.probs],
+            hidden=take_into(self.hidden, idx, 1, empty),
+            records=[r.take(idx, empty) for r in self.records],
         )
 
 
@@ -237,6 +274,7 @@ def _forward(
     actions=None,
     rng: np.random.Generator | None = None,
     record: bool = False,
+    empty=np.empty,
 ) -> ForwardPass:
     """Shared forward pass: samples when ``actions`` is None, else replays.
 
@@ -246,7 +284,9 @@ def _forward(
     step t's input: the task columns are written once, and the action
     columns as soon as step t - 1 has its actions. Each step takes one
     max, exp and sum of its logits; the probabilities and the chosen
-    actions' log-probs both come from them.
+    actions' log-probs both come from them. A recording pass takes its
+    arrays from ``empty`` and has each LSTM step write its activations
+    into step t of the layers' records.
     """
     space = params.space
     dims = params.dims
@@ -276,25 +316,30 @@ def _forward(
     h0 = np.zeros((B, dims.hidden_size))
     state = [(h0, h0)] * dims.num_layers
     A = dims.action_embed
-    x = np.empty((T, B, dims.input_size))
+    x = empty((T, B, dims.input_size))
     x[:, :, A:] = params.task_embeddings()[task_ids]
     x[0, :, :A] = params.start_embedding()
 
-    log_probs = np.empty((B, T))
-    probs_list: list = []
-    hidden_list: list = []
-    records_list: list = []
+    log_probs = empty((B, T))
+    probs = hidden = records = None
+    if record:
+        probs = [empty((B, k)) for k in space.choice_counts]
+        hidden = empty((T, B, dims.hidden_size))
+        records = [LstmRecord.empty(p, T, B, empty) for p in layers]
     rows = np.arange(B)
 
     for t in range(T):
-        out, state, recs = lstm_step_record(layers, x[t], state)
+        slots = None if records is None else [r.step(t) for r in records]
+        out, state, _ = lstm_step_record(layers, x[t], state, slots)
         w, b = params.projection(t)
         logits = out @ w
         logits += b
         z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
         e = np.exp(z)
         total = np.add.reduce(e, axis=1, keepdims=True)
-        p = e / total if sampling or record else None
+        p = None
+        if sampling or record:
+            p = np.divide(e, total, out=None if probs is None else probs[t])
         if sampling:
             a_t = _categorical_rows(p, rng)
             out_actions[:, t] = a_t
@@ -302,9 +347,7 @@ def _forward(
             a_t = out_actions[:, t]
         log_probs[:, t] = z[rows, a_t] - np.log(total[:, 0])
         if record:
-            probs_list.append(p)
-            hidden_list.append(out)
-            records_list.append(recs)
+            hidden[t] = out
         if t + 1 < T:
             x[t + 1, :, :A] = params.action_table(t)[a_t]
 
@@ -312,9 +355,9 @@ def _forward(
         task_ids=task_ids,
         actions=out_actions,
         log_probs=log_probs,
-        probs=probs_list,
-        hidden=hidden_list,
-        records=records_list,
+        probs=probs,
+        hidden=hidden,
+        records=records,
     )
 
 
@@ -340,9 +383,15 @@ def sample_batch(params: ControllerParams, task_ids, rng) -> tuple[np.ndarray, n
     return fwd.actions, fwd.log_probs
 
 
-def teacher_forced(params: ControllerParams, task_ids, actions) -> ForwardPass:
-    """Batched scoring pass with activations recorded for backprop."""
-    return _forward(params, task_ids, actions=actions, record=True)
+def teacher_forced(
+    params: ControllerParams, task_ids, actions, work: Workspace | None = None
+) -> ForwardPass:
+    """Batched scoring pass with activations recorded for backprop.
+
+    With ``work`` the pass lives in the workspace's forward scratch.
+    """
+    empty = np.empty if work is None else work.forward.clear().empty
+    return _forward(params, task_ids, actions=actions, record=True, empty=empty)
 
 
 def policy_backward(
@@ -355,7 +404,8 @@ def policy_backward(
 
     ``d_log_probs`` has shape (B, T), matching ``fwd.log_probs``. Returns a
     flat gradient vector aligned with the parameter layout: a new one, or
-    with ``work`` the workspace's own, zeroed and then filled.
+    with ``work`` the workspace's own, zeroed and then filled; the
+    backward's working arrays then come from the workspace's scratch.
 
     A row of ``d_log_probs`` that is all zero adds nothing to any gradient,
     so only the other rows are backpropagated: nothing when every row is
@@ -374,48 +424,47 @@ def policy_backward(
 
     if work is None:
         grads = ControllerParams.zeros(space, dims, params.n_tasks)
+        scratch = None
+        empty = np.empty
     else:
+        if work.grads.layout is not params.layout:
+            raise ShapeMismatch("the workspace belongs to a controller of another shape")
         grads = work.grads
         grads.flat.fill(0.0)
+        scratch = work.backward.clear()
+        empty = scratch.empty
     active = np.flatnonzero(d_log_probs.any(axis=1))
     if active.size == 0:
         return grads.flat
     if active.size < B:
-        fwd = fwd.rows(active)
+        fwd = fwd.rows(active, empty)
         d_log_probs = d_log_probs[active]
         B = active.size
     rows = np.arange(B)
 
     # through each step's projection into the top-layer hidden outputs
-    d_outputs = []
+    d_outputs = empty((T, B, dims.hidden_size))
     for t in range(T):
-        p = fwd.probs[t]
         g = d_log_probs[:, t][:, None]
-        dlogits = -p * g
+        dlogits = -fwd.probs[t] * g
         dlogits[rows, fwd.actions[:, t]] += d_log_probs[:, t]
         w, _ = params.projection(t)
         g_w, g_b = grads.projection(t)
         g_w += fwd.hidden[t].T @ dlogits
         g_b += dlogits.sum(axis=0)
-        d_outputs.append(dlogits @ w.T)
+        np.matmul(dlogits, w.T, out=d_outputs[t])
 
     # through time and the layer stack, straight into the flat gradient
     d_inputs = lstm_sequence_backward(
-        params.lstm_layers(), fwd.records, d_outputs, grads.lstm_layers()
+        params.lstm_layers(), fwd.records, d_outputs, grads.lstm_layers(), scratch
     )
 
     # split input gradients into the action half and the task half
     A = dims.action_embed
-    d_task_total = np.zeros((B, dims.task_embed))
-    for t in range(T):
-        dx = d_inputs[t]
-        d_act = dx[:, :A]
-        d_task_total += dx[:, A:]
-        if t == 0:
-            grads.start_embedding()[...] += d_act.sum(axis=0)
-        else:
-            np.add.at(grads.action_table(t - 1), fwd.actions[:, t - 1], d_act)
-    np.add.at(grads.task_embeddings(), fwd.task_ids, d_task_total)
+    grads.start_embedding()[...] += d_inputs[0, :, :A].sum(axis=0)
+    for t in range(1, T):
+        np.add.at(grads.action_table(t - 1), fwd.actions[:, t - 1], d_inputs[t, :, :A])
+    np.add.at(grads.task_embeddings(), fwd.task_ids, d_inputs[:, :, A:].sum(axis=0))
 
     return grads.flat
 

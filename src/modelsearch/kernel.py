@@ -4,7 +4,7 @@ Stacked LSTM forward steps with recorded activations, exact reverse-mode
 backprop through unrolled sequences, and a numerically stable softmax.
 The LSTM kernel is batch-only: inputs and states are ``(B, d)`` arrays,
 and a single sequence is a batch of one row. The forward step never
-mutates its inputs; the backward pass adds into gradient arrays the
+mutates its inputs; the backward pass writes into gradient arrays the
 caller owns.
 
 A layer's weights are one stacked ``(input_size + H, 4H)`` block ``w``,
@@ -16,11 +16,24 @@ from one ``tanh`` over the whole row, through
 columns are halved before the ``tanh`` and mapped to ``(1 + t) / 2``
 after it, while the candidate column keeps ``tanh`` of its
 pre-activation. ``tanh`` never overflows, so neither does a gate.
+
+A recorded pass keeps one LstmRecord per layer, stored sequence-major:
+``[x, h_prev]`` as ``(T, B, input_size + H)``, the gate row as
+``(T, B, 4H)``, the cell as ``(T + 1, B, H)`` with row 0 the initial
+cell, and ``tanh(c)`` as ``(T, B, H)``. The forward step still runs one
+step at a time and writes step t of each record through ``out``; with or
+without it the step takes the same arithmetic. The backward runs layer
+by layer over those records (see lstm_sequence_backward), so its sums
+agree with a step-by-step backward's to rounding, not bit for bit.
+
+Any function that takes ``work`` (a Scratch) or ``empty`` draws its
+working arrays and results from it; without one it allocates them.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,21 +97,86 @@ class LstmLayerParams:
             raise ShapeMismatch(f"inconsistent LSTM layer shapes {w.shape} {b.shape}")
 
 
+class Scratch:
+    """One float64 buffer lent out as consecutive C-contiguous arrays.
+
+    ``empty(shape)`` stands in for ``np.empty(shape)``: it returns the next
+    unused block of the buffer, or a new array once the buffer is used up.
+    ``clear()`` takes every block back, so the next user overwrites what
+    the last one left there.
+    """
+
+    def __init__(self, size: int):
+        self.buffer = np.empty(size)
+        self.used = 0
+
+    def clear(self) -> "Scratch":
+        self.used = 0
+        return self
+
+    def empty(self, shape) -> np.ndarray:
+        end = self.used + math.prod(shape)
+        if end > self.buffer.size:
+            return np.empty(shape)
+        block = self.buffer[self.used : end].reshape(shape)
+        self.used = end
+        return block
+
+
+def take_into(a: np.ndarray, idx: np.ndarray, axis: int, empty=np.empty) -> np.ndarray:
+    """``a.take(idx, axis)`` written into an array from ``empty``.
+
+    ``idx`` must hold valid indices: mode "clip" skips the bounds check,
+    which would buffer the whole result.
+    """
+    shape = list(a.shape)
+    shape[axis] = len(idx)
+    return a.take(idx, axis=axis, out=empty(tuple(shape)), mode="clip")
+
+
 @dataclass(slots=True)
 class LstmStepRecord:
-    """Activations of one layer at one timestep, retained for backprop."""
+    """Where one layer's forward step writes its activations: step t of an
+    LstmRecord, as ``record.step(t)`` gives it."""
 
-    xh: np.ndarray  # [x, h_prev]
-    c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    tc: np.ndarray  # tanh(c)
+    xh: np.ndarray  # (B, input_size + H): [x, h_prev]
+    z: np.ndarray  # (B, 4H): the gates i, f, g, o
+    c_prev: np.ndarray  # (B, H)
+    c: np.ndarray  # (B, H)
+    tc: np.ndarray  # (B, H): tanh(c)
 
-    def take(self, idx) -> "LstmStepRecord":
-        """The record restricted to the rows ``idx``; every array is copied once."""
-        return LstmStepRecord(*(getattr(self, n).take(idx, axis=0) for n in self.__slots__))
+
+@dataclass(slots=True)
+class LstmRecord:
+    """One layer's activations over a whole sequence, stored sequence-major."""
+
+    xh: np.ndarray  # (T, B, input_size + H): [x, h_prev] of every step
+    z: np.ndarray  # (T, B, 4H): the gates i, f, g, o
+    c: np.ndarray  # (T + 1, B, H): the cells; row 0 is the initial cell
+    tc: np.ndarray  # (T, B, H): tanh(c[1:])
+
+    @staticmethod
+    def floats_per_row(p: LstmLayerParams, steps: int) -> int:
+        """How many floats a record of one batch row takes."""
+        return steps * (p.w.shape[0] + 6 * p.hidden_size) + p.hidden_size
+
+    @classmethod
+    def empty(cls, p: LstmLayerParams, steps: int, batch: int, empty=np.empty) -> "LstmRecord":
+        """An unwritten record of layer ``p``, in arrays from ``empty``."""
+        h = p.hidden_size
+        return cls(
+            empty((steps, batch, p.w.shape[0])),
+            empty((steps, batch, 4 * h)),
+            empty((steps + 1, batch, h)),
+            empty((steps, batch, h)),
+        )
+
+    def step(self, t: int) -> LstmStepRecord:
+        return LstmStepRecord(self.xh[t], self.z[t], self.c[t], self.c[t + 1], self.tc[t])
+
+    def take(self, idx, empty=np.empty) -> "LstmRecord":
+        """The record restricted to the batch rows ``idx``, one take per array."""
+        return LstmRecord(*(take_into(getattr(self, n), idx, 1, empty) for n in self.__slots__))
 
 
 @functools.lru_cache
@@ -114,11 +192,15 @@ def _gate_rows(h: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def _layer_forward(p: LstmLayerParams, x, h_prev, c_prev):
+def _layer_forward(p: LstmLayerParams, x, h_prev, c_prev, out: LstmStepRecord | None):
     h = p.hidden_size
     scale, offset = _gate_rows(h)
-    xh = np.concatenate([x, h_prev], axis=1)
-    z = xh @ p.w
+    xh = z = c = tc = None
+    if out is not None:
+        xh, z, c, tc = out.xh, out.z, out.c, out.tc
+        out.c_prev[...] = c_prev
+    xh = np.concatenate([x, h_prev], axis=1, out=xh)
+    z = np.matmul(xh, p.w, out=z)
     z += p.b
     # halve the sigmoid columns, tanh the row, then (1 + t) / 2 as t/2 + 1/2;
     # every gate stays a view of this one array
@@ -130,19 +212,21 @@ def _layer_forward(p: LstmLayerParams, x, h_prev, c_prev):
     f = z[:, 1 * h : 2 * h]
     g = z[:, 2 * h : 3 * h]
     o = z[:, 3 * h : 4 * h]
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    out = o * tc
-    return out, c, LstmStepRecord(xh, c_prev, i, f, g, o, tc)
+    # c = f * c_prev + i * g
+    c = np.multiply(f, c_prev, out=c)
+    c += i * g
+    tc = np.tanh(c, out=tc)
+    return o * tc, c
 
 
-def lstm_step_record(params, x: np.ndarray, state):
+def lstm_step_record(params, x: np.ndarray, state, out=None):
     """One forward step of a ``(B, d)`` batch through the layer stack.
 
     ``state`` holds one ``(h, c)`` pair of ``(B, H)`` arrays per layer.
     Layer l's hidden output feeds layer l+1's input. Returns (top h, the
-    new list of pairs, one LstmStepRecord per layer) for
-    lstm_sequence_backward.
+    new list of pairs, ``out``). ``out`` is None or one LstmStepRecord per
+    layer, ``record.step(t)`` of each layer's LstmRecord; the step's
+    activations are then written there, by the same arithmetic.
     """
     params = list(params)
     if len(params) != len(state):
@@ -154,67 +238,97 @@ def lstm_step_record(params, x: np.ndarray, state):
         raise ShapeMismatch(
             f"input size {x.shape[-1]} != expected {params[0].input_size}"
         )
-    records = []
+    slots = [None] * len(params) if out is None else out
+    if len(slots) != len(params):
+        raise ShapeMismatch("out has a different number of layers than params")
     new_layers = []
     inp = x
-    for p, (h_prev, c_prev) in zip(params, state):
+    for p, (h_prev, c_prev), slot in zip(params, state, slots):
         if h_prev.shape[-1] != p.hidden_size:
             raise ShapeMismatch("state width does not match hidden size")
-        out, c, rec = _layer_forward(p, inp, h_prev, c_prev)
-        records.append(rec)
-        new_layers.append((out, c))
-        inp = out
-    return inp, new_layers, records
+        inp, c = _layer_forward(p, inp, h_prev, c_prev, slot)
+        new_layers.append((inp, c))
+    return inp, new_layers, out
 
 
-def lstm_sequence_backward(params, records, d_outputs, grads):
-    """Reverse-mode accumulation through a recorded unrolled sequence.
+def lstm_backward_floats_per_row(params, steps: int) -> int:
+    """How many floats lstm_sequence_backward takes from ``work`` per batch row."""
+    params = list(params)
+    return steps * (5 * max(p.hidden_size for p in params) + sum(p.input_size for p in params))
 
-    ``records[t][l]`` is layer l's LstmStepRecord at step t as produced by
-    lstm_step_record; ``d_outputs[t]`` is the loss gradient at the top-layer
-    output of step t. ``grads[l]`` is an LstmLayerParams of gradient arrays
-    shaped like layer l's weights, the stacked block as one array; each
-    step's gradient is added into them in place. Returns d_inputs, where
-    d_inputs[t] is the gradient at the bottom-layer input of step t.
+
+def lstm_sequence_backward(params, records, d_outputs, grads, work: Scratch | None = None):
+    """Reverse-mode gradients through a recorded unrolled sequence.
+
+    ``records[l]`` is layer l's LstmRecord over T steps, as the forward
+    steps wrote it; ``d_outputs`` holds the loss gradient at the top-layer
+    output of each step, ``(T, B, H)``. ``grads[l]`` is an LstmLayerParams
+    of arrays shaped like layer l's weights; layer l's gradient is written
+    into them. Returns d_inputs, ``(T, B, input_size)``: the gradient at the
+    bottom-layer input of each step. Its working arrays and d_inputs come
+    from ``work`` when it is given.
+
+    The layers go top-down. Per layer, three arrays over all T steps come
+    first: the gate-derivative row D, which is s(1 - s) on the sigmoid
+    gates and 1 - g^2 on the candidate; the partner row
+    Q = [g, c_prev, i, tanh c] * D; and A = o (1 - tanh^2 c). The loop
+    over steps then carries dh and dc back through time, turning Q into
+    dZ = [dc, dc, dc, dh] * Q in place. One weight product
+    ``[x, h_prev]^T dZ`` over all T * B rows, one bias sum and one input
+    product ``dZ w_x^T`` finish the layer. These sums run in another order
+    than a step-by-step backward's, so the two agree to rounding, about
+    1e-15 relative, not bit for bit.
     """
     params = list(params)
-    n_layers = len(params)
-    steps = len(records)
-    if len(d_outputs) != steps:
-        raise ShapeMismatch("one output gradient required per recorded step")
+    d_above = np.asarray(d_outputs, dtype=np.float64)
+    if len(records) != len(params):
+        raise ShapeMismatch("one record required per layer")
+    if d_above.ndim != 3 or d_above.shape[:2] != records[-1].tc.shape[:2]:
+        raise ShapeMismatch("one output gradient required per recorded step and row")
+    steps, batch = d_above.shape[:2]
+    n = steps * batch
+    empty = np.empty if work is None else work.empty
+    width = max(p.hidden_size for p in params)
+    q_all = empty((n * 4 * width,))
+    a_all = empty((n * width,))
 
-    dh_carry = [None] * n_layers
-    dc_carry = [None] * n_layers
-    d_inputs = [None] * steps
+    for p, rec, g in reversed(list(zip(params, records, grads))):
+        h = p.hidden_size
+        z = rec.z
+        f = z[..., h : 2 * h]
+        q = q_all[: n * 4 * h].reshape(steps, batch, 4, h)
+        a = a_all[: n * h].reshape(steps, batch, h)
+        gates = z.reshape(steps, batch, 4, h)
+        # D, then Q = [g, c_prev, i, tanh c] * D
+        np.subtract(1.0, z, out=q.reshape(steps, batch, 4 * h))
+        q *= gates
+        np.square(gates[:, :, 2], out=q[:, :, 2])
+        np.subtract(1.0, q[:, :, 2], out=q[:, :, 2])
+        q[:, :, 0] *= gates[:, :, 2]
+        q[:, :, 1] *= rec.c[:-1]
+        q[:, :, 2] *= gates[:, :, 0]
+        q[:, :, 3] *= rec.tc
+        # A = o (1 - tanh^2 c)
+        np.square(rec.tc, out=a)
+        np.subtract(1.0, a, out=a)
+        a *= gates[:, :, 3]
 
-    for t in reversed(range(steps)):
-        d_above = np.asarray(d_outputs[t], dtype=np.float64)
-        for l in reversed(range(n_layers)):
-            rec = records[t][l]
-            dh = d_above if dh_carry[l] is None else d_above + dh_carry[l]
-            dc = dh * rec.o * (1.0 - rec.tc**2)
-            if dc_carry[l] is not None:
-                dc = dc + dc_carry[l]
-            do = dh * rec.tc
-            di = dc * rec.g
-            dg = dc * rec.i
-            df = dc * rec.c_prev
-            dc_carry[l] = dc * rec.f
-            dz = np.concatenate(
-                [
-                    di * rec.i * (1.0 - rec.i),
-                    df * rec.f * (1.0 - rec.f),
-                    dg * (1.0 - rec.g**2),
-                    do * rec.o * (1.0 - rec.o),
-                ],
-                axis=-1,
-            )
-            g = grads[l]
-            g.w[...] += rec.xh.T @ dz
-            g.b[...] += dz.sum(axis=0)
-            # two input products: on OpenBLAS one (B, 4H) @ (4H, input_size + H)
-            # product leaves the small-matrix kernels at B = 16 and takes longer
-            dh_carry[l] = dz @ params[l].w_h.T
-            d_above = dz @ params[l].w_x.T
-        d_inputs[t] = d_above
-    return d_inputs
+        w_h_t = p.w_h.T
+        dh_carry = dc_carry = None
+        for t in reversed(range(steps)):
+            dh = d_above[t] if dh_carry is None else d_above[t] + dh_carry
+            dc = dh * a[t]
+            if dc_carry is not None:
+                dc += dc_carry
+            dz = q[t]
+            dz[:, :3] *= dc[:, None]
+            dz[:, 3] *= dh
+            if t:
+                dc_carry = dc * f[t]
+                dh_carry = dz.reshape(batch, 4 * h) @ w_h_t
+        dz = q.reshape(n, 4 * h)
+        np.matmul(rec.xh.reshape(n, -1).T, dz, out=g.w)
+        np.add.reduce(dz, axis=0, out=g.b)
+        d_above = np.matmul(dz, p.w_x.T, out=empty((n, p.input_size)))
+        d_above = d_above.reshape(steps, batch, p.input_size)
+    return d_above

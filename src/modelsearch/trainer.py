@@ -284,9 +284,10 @@ def _critic_step(state: TrainerState, rng) -> float | None:
         np.array([state.baselines.value(e.task_id) for e in batch]),
         cfg.baseline_floor,
     )
-    fwd = teacher_forced(state.critic, task_ids, actions)
+    work = state.workspace()
+    fwd = teacher_forced(state.critic, task_ids, actions, work)
     loss, d_lp = ppo_clipped_loss(fwd.log_probs, old_lp, adv, cfg.clip_epsilon)
-    grads = policy_backward(state.critic, fwd, d_lp, state.workspace())
+    grads = policy_backward(state.critic, fwd, d_lp, work)
     if cfg.grad_clip_norm is not None:
         clip_global_norm(grads, cfg.grad_clip_norm, out=grads)
     adaptive_update(state.critic.flat, grads, state.adam, cfg.critic_lr)

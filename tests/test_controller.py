@@ -11,6 +11,7 @@ from modelsearch.config import build_evaluators, load_experiment_config
 from modelsearch.controller import (
     ControllerDims,
     ControllerParams,
+    Workspace,
     action_distributions,
     add_task,
     exact_action_distributions,
@@ -179,9 +180,9 @@ def test_prefix_expansion_matches_enumeration_on_the_planted_pair_space(monkeypa
     params = peaked_controller(config.space, 3)
     rows = []
 
-    def counting_step(layers, x, state):
+    def counting_step(layers, x, state, out=None):
         rows.append(x.shape[0])
-        return lstm_step_record(layers, x, state)
+        return lstm_step_record(layers, x, state, out)
 
     monkeypatch.setattr(controller, "lstm_step_record", counting_step)
     for task_id in (0, 1):
@@ -290,7 +291,44 @@ def test_add_task_preserves_existing_weights_and_distributions():
     assert np.array_equal(s_before, s_after)
 
 
-def full_batch_policy_backward(params, fwd, d_log_probs):
+def per_step_backward(params, records, d_outputs, grads):
+    """The LSTM backward one step and one layer at a time, with the products
+    and the order of sums it had before it ran layer by layer: the reference
+    for lstm_sequence_backward. Adds into ``grads``."""
+    params = list(params)
+    n_layers = len(params)
+    dh_carry = [None] * n_layers
+    dc_carry = [None] * n_layers
+    d_inputs = [None] * len(d_outputs)
+    for t in reversed(range(len(d_outputs))):
+        d_above = d_outputs[t]
+        for l in reversed(range(n_layers)):
+            rec, h = records[l], params[l].hidden_size
+            i, f, g, o = (rec.z[t][:, k * h : (k + 1) * h] for k in range(4))
+            c_prev, tc = rec.c[t], rec.tc[t]
+            dh = d_above if dh_carry[l] is None else d_above + dh_carry[l]
+            dc = dh * o * (1.0 - tc**2)
+            if dc_carry[l] is not None:
+                dc = dc + dc_carry[l]
+            dc_carry[l] = dc * f
+            dz = np.concatenate(
+                [
+                    dc * g * i * (1.0 - i),
+                    dc * c_prev * f * (1.0 - f),
+                    dc * i * (1.0 - g**2),
+                    dh * tc * o * (1.0 - o),
+                ],
+                axis=-1,
+            )
+            grads[l].w[...] += rec.xh[t].T @ dz
+            grads[l].b[...] += dz.sum(axis=0)
+            dh_carry[l] = dz @ params[l].w_h.T
+            d_above = dz @ params[l].w_x.T
+        d_inputs[t] = d_above
+    return d_inputs
+
+
+def full_batch_policy_backward(params, fwd, d_log_probs, lstm_backward=lstm_sequence_backward):
     """policy_backward as it was before it skipped rows: every row goes through."""
     space = params.space
     dims = params.dims
@@ -309,9 +347,7 @@ def full_batch_policy_backward(params, fwd, d_log_probs):
         g_w += fwd.hidden[t].T @ dlogits
         g_b += dlogits.sum(axis=0)
         d_outputs.append(dlogits @ w.T)
-    d_inputs = lstm_sequence_backward(
-        params.lstm_layers(), fwd.records, d_outputs, grads.lstm_layers()
-    )
+    d_inputs = lstm_backward(params.lstm_layers(), fwd.records, d_outputs, grads.lstm_layers())
     A = dims.action_embed
     d_task_total = np.zeros((B, dims.task_embed))
     for t in range(T):
@@ -365,6 +401,26 @@ def test_backward_with_every_row_active_is_the_full_batch_path():
     assert np.array_equal(
         policy_backward(params, fwd, d), full_batch_policy_backward(params, fwd, d)
     )
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("n_params", [1, 7])
+@pytest.mark.parametrize("batch", [1, 2, 3, 20])
+def test_layer_major_backward_matches_the_per_step_reference(batch, n_params, num_layers):
+    space = SearchSpace([ParamSpec(f"p{i}", tuple(range(2 + i % 3))) for i in range(n_params)])
+    dims = ControllerDims(hidden_size=6, action_embed=3, task_embed=5, num_layers=num_layers)
+    params = init_controller(space, 3, batch, dims)
+    params.flat *= 10.0  # gates away from 1/2, so a wrong derivative shows
+    rng = np.random.default_rng(batch)
+    task_ids = rng.integers(0, 3, batch)
+    actions, _ = sample_batch(params, task_ids, rng)
+    fwd = teacher_forced(params, task_ids, actions)
+    d = rng.normal(size=(batch, n_params))
+    want = full_batch_policy_backward(params, fwd, d, per_step_backward)
+    got = policy_backward(params, fwd, d)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    work = Workspace(params, batch)
+    assert policy_backward(params, teacher_forced(params, task_ids, actions, work), d, work).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("num_layers", [1, 3])

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from modelsearch.errors import ShapeMismatch
 from modelsearch.kernel import (
     LstmLayerParams,
+    LstmRecord,
+    Scratch,
     _layer_forward,
     log_softmax,
     lstm_sequence_backward,
@@ -149,21 +151,27 @@ def test_fused_layer_forward_matches_per_gate_bitwise(batch):
     (layer,) = make_layers(6, 5, 1, rng, scale=2.0)
     x = rng.normal(0, 1, (batch, 6))
     h_prev, c_prev = rng.normal(0, 1, (batch, 5)), rng.normal(0, 1, (batch, 5))
-    out, c, rec = _layer_forward(layer, x, h_prev, c_prev)
+    record = LstmRecord.empty(layer, 1, batch)
+    out, c = _layer_forward(layer, x, h_prev, c_prev, record.step(0))
     ref_out, ref_c, (i, f, g, o, _, tc) = _layer_forward_per_gate(layer, x, h_prev, c_prev)
     assert _same_bits(out, ref_out) and _same_bits(c, ref_c)
-    for got, want in ((rec.i, i), (rec.f, f), (rec.g, g), (rec.o, o), (rec.tc, tc)):
+    gates = record.z[0].reshape(batch, 4, 5).transpose(1, 0, 2)
+    for got, want in zip((*gates, record.tc[0]), (i, f, g, o, tc)):
         assert _same_bits(got, want)
+    assert _same_bits(record.xh[0], np.hstack([x, h_prev]))
+    assert _same_bits(record.c[0], c_prev) and _same_bits(record.c[1], c)
+    # an unrecorded step takes the same arithmetic
+    free_out, free_c = _layer_forward(layer, x, h_prev, c_prev, None)
+    assert _same_bits(free_out, out) and _same_bits(free_c, c)
 
 
 def _sequence_loss(layers, inputs, probe):
     """Scalar probe of a full unrolled batch-1 run: sum_t probe[t] . h_top[t]."""
     state = zero_state(len(layers), layers[0].hidden_size, 1)
     total = 0.0
-    records = []
+    records = [LstmRecord.empty(p, len(inputs), 1) for p in layers]
     for t, x in enumerate(inputs):
-        out, state, recs = lstm_step_record(layers, x, state)
-        records.append(recs)
+        out, state, _ = lstm_step_record(layers, x, state, [r.step(t) for r in records])
         total += float(probe[t][0] @ out[0])
     return total, records
 
