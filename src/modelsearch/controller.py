@@ -425,14 +425,13 @@ def policy_backward(
     if work is None:
         grads = ControllerParams.zeros(space, dims, params.n_tasks)
         scratch = None
-        empty = np.empty
     else:
         if work.grads.layout is not params.layout:
             raise ShapeMismatch("the workspace belongs to a controller of another shape")
         grads = work.grads
         grads.flat.fill(0.0)
         scratch = work.backward.clear()
-        empty = scratch.empty
+    empty = np.empty if scratch is None else scratch.empty
     active = np.flatnonzero(d_log_probs.any(axis=1))
     if active.size == 0:
         return grads.flat

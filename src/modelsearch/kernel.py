@@ -103,7 +103,8 @@ class Scratch:
     ``empty(shape)`` stands in for ``np.empty(shape)``: it returns the next
     unused block of the buffer, or a new array once the buffer is used up.
     ``clear()`` takes every block back, so the next user overwrites what
-    the last one left there.
+    the last one left there. ``used`` counts every float asked for since,
+    so ``used > buffer.size`` shows that some array was allocated.
     """
 
     def __init__(self, size: int):
@@ -115,12 +116,10 @@ class Scratch:
         return self
 
     def empty(self, shape) -> np.ndarray:
-        end = self.used + math.prod(shape)
-        if end > self.buffer.size:
+        start, self.used = self.used, self.used + math.prod(shape)
+        if self.used > self.buffer.size:
             return np.empty(shape)
-        block = self.buffer[self.used : end].reshape(shape)
-        self.used = end
-        return block
+        return self.buffer[start : self.used].reshape(shape)
 
 
 def take_into(a: np.ndarray, idx: np.ndarray, axis: int, empty=np.empty) -> np.ndarray:
@@ -198,6 +197,7 @@ def _layer_forward(p: LstmLayerParams, x, h_prev, c_prev, out: LstmStepRecord | 
     xh = z = c = tc = None
     if out is not None:
         xh, z, c, tc = out.xh, out.z, out.c, out.tc
+        # after step 0, c_prev is already the record's own row t
         out.c_prev[...] = c_prev
     xh = np.concatenate([x, h_prev], axis=1, out=xh)
     z = np.matmul(xh, p.w, out=z)

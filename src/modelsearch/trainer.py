@@ -14,8 +14,12 @@ keeping a slow-moving behavior policy while the critic trains off-policy.
 
 The state owns its controllers' weights: the Adam step writes the
 critic's flat vector in place and the Polyak blend writes the actor's.
-Nothing keeps old weights; an event keeps only its own log-probs. A
-state holds plain data, so it pickles; a copy continues bit for bit.
+Nothing keeps old weights; an event keeps only its own log-probs. The
+critic step also works in memory the state owns: the scoring pass, the
+backward and the gradient vector live in the state's Workspace, and
+Adam's temporaries (which the Polyak blend borrows) in its AdamState.
+Neither is pickled; a state holds plain data otherwise, so it pickles,
+and a copy rebuilds that memory and continues bit for bit.
 """
 
 from __future__ import annotations

@@ -15,7 +15,13 @@ import numpy as np
 
 from modelsearch.checkpoint import load_checkpoint, save_checkpoint, transfer_init
 from modelsearch.config import build_evaluators, load_experiment_config
-from modelsearch.controller import init_controller, policy_backward, teacher_forced
+from modelsearch.controller import (
+    ControllerDims,
+    Workspace,
+    init_controller,
+    policy_backward,
+    teacher_forced,
+)
 from modelsearch.trainer import _critic_step, build_state, train_iteration
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -46,6 +52,28 @@ def test_states_trained_in_alternation_equal_states_trained_alone():
             train_iteration(state, rng)
     assert pair[0][0].work is not pair[1][0].work
     assert [weights(state) for state, _ in pair] == alone
+
+
+def test_a_workspace_holds_the_largest_critic_step():
+    # the gather of all rows but one, and the full batch, fit without a
+    # single array falling back to np.empty; every array is linear in the
+    # rows, so a gather of 11 of 12 rows fills exactly 11/12 of a backward
+    # scratch sized for 12
+    dims = ControllerDims(hidden_size=7, action_embed=3, task_embed=5, num_layers=3)
+    params = init_controller(PLANTED.space, 2, 0, dims)
+    rng = np.random.default_rng(1)
+    task_ids = rng.integers(0, 2, 12)
+    actions = np.array([PLANTED.space.actions_at(int(r)) for r in rng.integers(0, 432, 12)])
+    work = Workspace(params, 12)
+    for active in (12, 11):
+        fwd = teacher_forced(params, task_ids, actions, work)
+        assert work.forward.used == work.forward.buffer.size
+        d = np.zeros((12, PLANTED.space.n_params))
+        d[:active] = rng.normal(size=(active, 1))
+        want = policy_backward(params, teacher_forced(params, task_ids, actions), d)
+        assert policy_backward(params, fwd, d, work).tobytes() == want.tobytes()
+        assert 0 < work.backward.used <= work.backward.buffer.size
+    assert work.backward.used * 12 == work.backward.buffer.size * 11
 
 
 def test_library_results_are_not_written_by_later_calls():
