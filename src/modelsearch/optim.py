@@ -40,7 +40,7 @@ class AdamState:
 
     def scratch(self) -> np.ndarray:
         """A ``(2, n)`` array whose contents any caller may overwrite."""
-        if self._scratch is None or self._scratch.shape[1:] != self.m.shape:
+        if self._scratch is None:
             self._scratch = np.empty((2,) + self.m.shape)
         return self._scratch
 

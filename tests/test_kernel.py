@@ -7,7 +7,6 @@ from modelsearch.errors import ShapeMismatch
 from modelsearch.kernel import (
     LstmLayerParams,
     LstmRecord,
-    Scratch,
     _layer_forward,
     log_softmax,
     lstm_sequence_backward,
