@@ -123,9 +123,9 @@ def test_copies_unpickled_and_transferred_states_build_their_own_workspace(tmp_p
 
 
 def test_a_warm_critic_step_allocates_little():
-    # a step that allocated its gradient vector, Adam's two temporaries and
-    # its records took 1.6-2.6 MB here; the workspace leaves the batch
-    # arrays, per-step rows and numpy's iteration buffers, 0.1-0.2 MB
+    # a step that allocates its gradient vector, Adam's two temporaries and
+    # its records peaks at 1.6-2.6 MB; in the workspace only the batch
+    # arrays, per-step rows and numpy's iteration buffers are left, 0.1-0.2 MB
     state, rng = planted_state(31)
     for _ in range(20):  # the first step builds the workspace
         train_iteration(state, rng)
