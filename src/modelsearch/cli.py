@@ -82,7 +82,7 @@ def main(argv=None) -> int:
             out = run_experiment(
                 args.config,
                 mode=args.command,
-                seeds=_parse_seeds(args.seed) if args.seed else None,
+                seeds=None if args.seed is None else _parse_seeds(args.seed),
                 out_dir=args.out,
                 checkpoint=getattr(args, "checkpoint", None),
             )

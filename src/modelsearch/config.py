@@ -117,6 +117,8 @@ def _parse_space(raw, where: str) -> SearchSpace:
         for j, c in enumerate(e["choices"]):
             if c is not None and not isinstance(c, (bool, int, float, str)):
                 raise ConfigError(f"{where}[{i}].choices[{j}] must be a scalar, got {c!r}")
+            if c != c:  # NaN equals nothing, so no sample choosing it could be looked up
+                raise ConfigError(f"{where}[{i}].choices[{j}] must not be NaN")
     try:
         return space_from_entries(raw)
     except ValueError as e:

@@ -23,7 +23,6 @@ from .kernel import (  # noqa: F401 - log_softmax stays a name here for perfbenc
     LstmRecord,
     Scratch,
     log_softmax,
-    lstm_backward_floats_per_row,
     lstm_sequence_backward,
     lstm_step_record,
     softmax,
@@ -187,48 +186,23 @@ class SampledModel:
     behavior_log_probs: np.ndarray  # per step, <= 0
 
 
-def _pass_floats_per_row(params: ControllerParams) -> int:
-    """Floats per batch row of a recorded pass: log-probs, probabilities,
-    top-layer outputs and one LstmRecord per layer."""
-    T = params.space.n_params
-    return (
-        T
-        + sum(params.space.choice_counts)
-        + T * params.dims.hidden_size
-        + sum(LstmRecord.floats_per_row(p, T) for p in params.lstm_layers())
-    )
-
-
 class Workspace:
-    """Memory that ``teacher_forced`` and ``policy_backward`` reuse.
+    """Memory that the critic step reuses: ``teacher_forced``,
+    ``policy_backward``, Adam and the Polyak blend.
 
-    It is sized once, for one controller layout and batches of at most
-    ``batch`` rows, and holds one scratch per function and the gradient
-    vector. A result that lives in a workspace is overwritten by the next
-    call of the same function that is given it; a call given none
-    allocates its own arrays, and nothing writes them later.
+    It belongs to one controller layout and holds one Scratch per function,
+    which sizes itself to the largest pass it has seen, the gradient vector
+    and ``temps``, a ``(2, n)`` array for the update's temporaries. A result
+    that lives in a workspace is overwritten by the next call of the same
+    function that is given it; a call given none allocates its own arrays,
+    and nothing writes them later.
     """
 
-    def __init__(self, params: ControllerParams, batch: int):
-        self.batch = POSITIVE_INT.check("batch", batch)
-        T, dims = params.space.n_params, params.dims
-        per_row = _pass_floats_per_row(params)
-        # the forward pass also fills its (T, B, input) inputs; the backward
-        # gathers a pass's active rows, their output gradients and the
-        # kernel's working arrays
-        self.forward = Scratch(batch * (per_row + T * dims.input_size))
-        self.backward = Scratch(
-            batch
-            * (
-                per_row
-                + T * dims.hidden_size
-                + lstm_backward_floats_per_row(params.lstm_layers(), T)
-            )
-        )
-        self.grads = ControllerParams.zeros(params.space, dims, params.n_tasks)
-
-    def fits(self, params: ControllerParams, batch: int) -> bool:
-        return self.grads.layout is params.layout and batch <= self.batch
+    def __init__(self, params: ControllerParams):
+        self.forward = Scratch()
+        self.backward = Scratch()
+        self.grads = ControllerParams.zeros(params.space, params.dims, params.n_tasks)
+        self.temps = np.empty((2, params.layout.total_size))
 
 
 @dataclass

@@ -27,7 +27,9 @@ by layer over those records (see lstm_sequence_backward), so its sums
 agree with a step-by-step backward's to rounding, not bit for bit.
 
 Any function that takes ``work`` (a Scratch) or ``empty`` draws its
-working arrays and results from it; without one it allocates them.
+working arrays and results from it; without one it allocates them. A
+Scratch starts empty and grows to what its users draw, so no caller
+sizes one.
 """
 
 from __future__ import annotations
@@ -104,14 +106,22 @@ class Scratch:
     unused block of the buffer, or a new array once the buffer is used up.
     ``clear()`` takes every block back, so the next user overwrites what
     the last one left there. ``used`` counts every float asked for since,
-    so ``used > buffer.size`` shows that some array was allocated.
+    so ``used > buffer.size`` shows that some array was allocated. A new
+    Scratch holds nothing; the clear after such a use replaces the buffer
+    with a larger one, so a scratch sizes itself to what its users draw.
     """
 
-    def __init__(self, size: int):
-        self.buffer = np.empty(size)
+    def __init__(self):
+        self.buffer = np.empty(0)
         self.used = 0
 
     def clear(self) -> "Scratch":
+        if self.used > self.buffer.size:
+            # twice the need, so a slightly larger later use still fits: each
+            # regrowth leaves a freed block in the heap, and growing to the
+            # exact need regrew often enough that this raised the peak RSS
+            # of later searches in the process; untouched pages cost no RSS
+            self.buffer = np.empty(2 * self.used)
         self.used = 0
         return self
 
@@ -153,11 +163,6 @@ class LstmRecord:
     z: np.ndarray  # (T, B, 4H): the gates i, f, g, o
     c: np.ndarray  # (T + 1, B, H): the cells; row 0 is the initial cell
     tc: np.ndarray  # (T, B, H): tanh(c[1:])
-
-    @staticmethod
-    def floats_per_row(p: LstmLayerParams, steps: int) -> int:
-        """How many floats a record of one batch row takes."""
-        return steps * (p.w.shape[0] + 6 * p.hidden_size) + p.hidden_size
 
     @classmethod
     def empty(cls, p: LstmLayerParams, steps: int, batch: int, empty=np.empty) -> "LstmRecord":
@@ -249,12 +254,6 @@ def lstm_step_record(params, x: np.ndarray, state, out=None):
         inp, c = _layer_forward(p, inp, h_prev, c_prev, slot)
         new_layers.append((inp, c))
     return inp, new_layers, out
-
-
-def lstm_backward_floats_per_row(params, steps: int) -> int:
-    """How many floats lstm_sequence_backward takes from ``work`` per batch row."""
-    params = list(params)
-    return steps * (5 * max(p.hidden_size for p in params) + sum(p.input_size for p in params))
 
 
 def lstm_sequence_backward(params, records, d_outputs, grads, work: Scratch | None = None):

@@ -7,14 +7,14 @@ the actor/critic controller pair at sync boundaries.
 Adam, Adagrad and Polyak averaging update the arrays they are given in
 place (the weights, and Adam's moments or Adagrad's accumulator) and
 return them. Clipping returns a value and leaves its input alone, unless
-it is given ``out``. Adam keeps its two temporaries in its state, and the
-Polyak blend may borrow one of them, so a training loop that repeats
-them allocates no vector of the weights' size.
+it is given ``out``. Adam takes its two temporaries from ``scratch`` and
+the Polyak blend its one, so a training loop that passes the same arrays
+to every step allocates no vector of the weights' size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,29 +23,15 @@ from .errors import NonFiniteGradient, ShapeMismatch
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count, plus two scratch vectors of their size.
-
-    The scratch holds no state: it is built on first use, never compared
-    and never pickled.
-    """
+    """Adam's moments and step count."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
         return cls(m=np.zeros(n), v=np.zeros(n), step=0)
-
-    def scratch(self) -> np.ndarray:
-        """A ``(2, n)`` array whose contents any caller may overwrite."""
-        if self._scratch is None:
-            self._scratch = np.empty((2,) + self.m.shape)
-        return self._scratch
-
-    def __getstate__(self):
-        return {**self.__dict__, "_scratch": None}
 
 
 def adaptive_update(
@@ -56,12 +42,14 @@ def adaptive_update(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, AdamState]:
     """Bias-corrected Adam step; returns (params, state).
 
     ``params``, ``state.m``, ``state.v`` and ``state.step`` are updated in
-    place, and only after the gradient has passed its checks. The two
-    temporaries are ``state.scratch()``.
+    place, and only after the gradient has passed its checks. ``scratch``,
+    a ``(2, n)`` array that shares no memory with the others, holds the two
+    temporaries; without it they are allocated.
     """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -72,7 +60,7 @@ def adaptive_update(
     if not np.all(np.isfinite(grads)):
         raise NonFiniteGradient("gradient contains NaN or inf")
     t = state.step + 1
-    tmp, denom = state.scratch()
+    tmp, denom = np.empty((2,) + state.m.shape) if scratch is None else scratch
     # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, in the order the
     # out-of-place expressions evaluate them
     np.multiply(grads, 1.0 - beta1, out=tmp)

@@ -16,10 +16,10 @@ The state owns its controllers' weights: the Adam step writes the
 critic's flat vector in place and the Polyak blend writes the actor's.
 Nothing keeps old weights; an event keeps only its own log-probs. The
 critic step also works in memory the state owns: the scoring pass, the
-backward and the gradient vector live in the state's Workspace, and
-Adam's temporaries (which the Polyak blend borrows) in its AdamState.
-Neither is pickled; a state holds plain data otherwise, so it pickles,
-and a copy rebuilds that memory and continues bit for bit.
+backward, the gradient vector and the temporaries of Adam and the Polyak
+blend all live in the state's Workspace, which sizes itself on the first
+steps. It is not pickled; a state holds plain data otherwise, so it
+pickles, and a copy rebuilds that memory and continues bit for bit.
 """
 
 from __future__ import annotations
@@ -225,9 +225,9 @@ class TrainerState:
         return {**self.__dict__, "work": None}
 
     def workspace(self) -> Workspace:
-        """The critic step's workspace, rebuilt when it no longer fits."""
-        if self.work is None or not self.work.fits(self.critic, self.config.batch_size):
-            self.work = Workspace(self.critic, self.config.batch_size)
+        """The critic step's workspace, built on first use."""
+        if self.work is None:
+            self.work = Workspace(self.critic)
         return self.work
 
 
@@ -294,11 +294,9 @@ def _critic_step(state: TrainerState, rng) -> float | None:
     grads = policy_backward(state.critic, fwd, d_lp, work)
     if cfg.grad_clip_norm is not None:
         clip_global_norm(grads, cfg.grad_clip_norm, out=grads)
-    adaptive_update(state.critic.flat, grads, state.adam, cfg.critic_lr)
+    adaptive_update(state.critic.flat, grads, state.adam, cfg.critic_lr, scratch=work.temps)
     if state.adam.step % cfg.steps_per_sync == 0:
-        polyak_average(
-            state.actor.flat, state.critic.flat, cfg.polyak_keep, state.adam.scratch()[0]
-        )
+        polyak_average(state.actor.flat, state.critic.flat, cfg.polyak_keep, work.temps[0])
     return loss
 
 

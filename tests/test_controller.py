@@ -419,7 +419,7 @@ def test_layer_major_backward_matches_the_per_step_reference(batch, n_params, nu
     want = full_batch_policy_backward(params, fwd, d, per_step_backward)
     got = policy_backward(params, fwd, d)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    work = Workspace(params, batch)
+    work = Workspace(params)
     in_work = policy_backward(params, teacher_forced(params, task_ids, actions, work), d, work)
     assert in_work.tobytes() == got.tobytes()
 

@@ -389,6 +389,7 @@ TRAINER_BLOCK = "trainer:\n  total_iterations: 40\n  replay_capacity: 50\n"
         ("out_dir: out", "out_dir: out\ntransfer: 5", "transfer must be a mapping, got 5"),
         ("choices: [0, 1]", "choices: [[1], [2]]", "search_space[0].choices[0] must be a scalar"),
         ("choices: [0, 1]", "choices: [{x: 1}, 2]", "search_space[0].choices[0] must be a scalar"),
+        ("choices: [0, 1]", "choices: [0, .nan]", "search_space[0].choices[1] must not be NaN"),
         ("ceiling: 0.9,", "noise_sigma: .nan,", "tasks[t0].evaluator: noise_sigma"),
         ("ceiling: 0.9,", "noise_sigma: .inf,", "tasks[t0].evaluator: noise_sigma"),
         (
@@ -408,6 +409,7 @@ TRAINER_BLOCK = "trainer:\n  total_iterations: 40\n  replay_capacity: 50\n"
         "transfer-int",
         "choice-list",
         "choice-mapping",
+        "choice-nan",
         "noise-nan",
         "noise-inf",
         "table-noise-nan",
@@ -473,12 +475,14 @@ def test_cli_brute_force_without_an_oracle_table_leaves_no_out_dir(tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seeds", ["-1", "0,-3", ",", "x"])
+@pytest.mark.parametrize("seeds", ["-1", "0,-3", ",", "x", ""])
 def test_cli_rejects_bad_seed_lists(tmp_path, capsys, seeds):
     cfg_path = write_config(tmp_path)
-    argv = ["search", "--config", str(cfg_path), "--seed", seeds, "--out", str(tmp_path / "x")]
+    out = tmp_path / "x"
+    argv = ["search", "--config", str(cfg_path), "--seed", seeds, "--out", str(out)]
     assert cli_main(argv) == 1
     assert capsys.readouterr().err.startswith("config error: --seed")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

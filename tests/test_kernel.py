@@ -7,6 +7,7 @@ from modelsearch.errors import ShapeMismatch
 from modelsearch.kernel import (
     LstmLayerParams,
     LstmRecord,
+    Scratch,
     _layer_forward,
     log_softmax,
     lstm_sequence_backward,
@@ -173,6 +174,23 @@ def _sequence_loss(layers, inputs, probe):
         out, state, _ = lstm_step_record(layers, x, state, [r.step(t) for r in records])
         total += float(probe[t][0] @ out[0])
     return total, records
+
+
+def test_a_scratch_grows_after_an_overflow_and_then_lends_its_buffer():
+    work = Scratch()
+    first = work.clear().empty((3, 4))
+    assert work.used == 12 > work.buffer.size
+    assert not np.shares_memory(first, work.buffer)
+    work.clear()
+    assert work.buffer.size == 24
+    buffer = work.buffer
+    for _ in range(2):
+        a, b = work.empty((3, 4)), work.empty((5,))
+        assert np.shares_memory(a, buffer) and np.shares_memory(b, buffer)
+        assert not np.shares_memory(a, b)
+        assert work.clear().buffer is buffer
+    work.empty((30,))
+    assert work.clear().buffer.size == 60
 
 
 def test_sequence_gradients_match_finite_differences():

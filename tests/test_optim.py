@@ -88,27 +88,26 @@ def test_in_place_updates_match_out_of_place_formulas_bitwise():
         assert np.array_equal(_bits(acc), _bits(ref_acc))
 
 
-def test_adam_reuses_its_scratch_and_never_pickles_it():
+def test_adam_with_scratch_gives_the_same_bits_and_allocates_nothing():
     rng = np.random.default_rng(8)
     n = 50_000  # 400 KB per vector: one allocated temporary would show
-    params, state = rng.normal(0, 1, n), AdamState.zeros(n)
-    adaptive_update(params, rng.normal(0, 1, n), state, 0.01)
-    scratch = state.scratch()
-    assert scratch.shape == (2, n)
-    g = rng.normal(0, 1, n)
-    tracemalloc.start()
-    try:
-        adaptive_update(params, g, state, 0.01)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
-    assert state.scratch() is scratch
-    fresh = AdamState(state.m.copy(), state.v.copy(), state.step)
-    assert len(pickle.dumps(state)) == len(pickle.dumps(fresh))
-    copy = pickle.loads(pickle.dumps(state))
-    assert np.array_equal(copy.m, state.m) and copy.step == state.step
-    assert copy.scratch() is not scratch
+    params = rng.normal(0, 1, n)
+    state, ref_params, ref_state = AdamState.zeros(n), params.copy(), AdamState.zeros(n)
+    scratch = np.empty((2, n))
+    for _ in range(3):
+        g = rng.normal(0, 1, n)
+        adaptive_update(ref_params, g, ref_state, 0.01)
+        tracemalloc.start()
+        try:
+            adaptive_update(params, g, state, 0.01, scratch=scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert params.tobytes() == ref_params.tobytes()
+        assert state.m.tobytes() == ref_state.m.tobytes()
+        assert state.v.tobytes() == ref_state.v.tobytes()
+        assert state.step == ref_state.step
 
 
 def test_adam_updates_the_weights_it_is_given():

@@ -55,25 +55,51 @@ def test_states_trained_in_alternation_equal_states_trained_alone():
 
 
 def test_a_workspace_holds_the_largest_critic_step():
-    # the gather of all rows but one, and the full batch, fit without a
-    # single array falling back to np.empty; every array is linear in the
-    # rows, so a gather of 11 of 12 rows fills exactly 11/12 of a backward
-    # scratch sized for 12
+    # the full batch, then a gather of all rows but one (the backward's
+    # largest draw): the first round grows the scratches, the second draws
+    # every array from the same two buffers, and each result has the bits
+    # of a call without a workspace
     dims = ControllerDims(hidden_size=7, action_embed=3, task_embed=5, num_layers=3)
     params = init_controller(PLANTED.space, 2, 0, dims)
     rng = np.random.default_rng(1)
     task_ids = rng.integers(0, 2, 12)
     actions = np.array([PLANTED.space.actions_at(int(r)) for r in rng.integers(0, 432, 12)])
-    work = Workspace(params, 12)
-    for active in (12, 11):
-        fwd = teacher_forced(params, task_ids, actions, work)
-        assert work.forward.used == work.forward.buffer.size
-        d = np.zeros((12, PLANTED.space.n_params))
-        d[:active] = rng.normal(size=(active, 1))
-        want = policy_backward(params, teacher_forced(params, task_ids, actions), d)
-        assert policy_backward(params, fwd, d, work).tobytes() == want.tobytes()
-        assert 0 < work.backward.used <= work.backward.buffer.size
-    assert work.backward.used * 12 == work.backward.buffer.size * 11
+    work = Workspace(params)
+    for round in range(2):
+        buffers = []
+        for active in (12, 11):
+            fwd = teacher_forced(params, task_ids, actions, work)
+            alone = teacher_forced(params, task_ids, actions)
+            assert pickle.dumps(fwd) == pickle.dumps(alone)
+            d = np.zeros((12, PLANTED.space.n_params))
+            d[:active] = rng.normal(size=(active, 1))
+            want = policy_backward(params, alone, d)
+            assert policy_backward(params, fwd, d, work).tobytes() == want.tobytes()
+            buffers.append((work.forward.buffer, work.backward.buffer))
+            if round:
+                assert 0 < work.forward.used <= work.forward.buffer.size
+                assert 0 < work.backward.used <= work.backward.buffer.size
+    assert all(f is buffers[0][0] and b is buffers[0][1] for f, b in buffers)
+
+
+def test_a_workspace_grows_with_the_batch_size_mid_run():
+    # the raised batch outgrows the forward scratch; the state keeps its
+    # workspace, and its weights equal a copy's that builds its own
+    # workspace at the raised size
+    state, rng = planted_state(6, steps_per_sync=3)
+    for _ in range(10):
+        train_iteration(state, rng)
+    work = state.work
+    size = work.forward.buffer.size
+    state.config = dataclasses.replace(state.config, batch_size=60)
+    fresh, fresh_rng = copy.deepcopy((state, rng))
+    assert fresh.work is None
+    for _ in range(10):
+        train_iteration(state, rng)
+        train_iteration(fresh, fresh_rng)
+    assert state.work is work and work.forward.buffer.size > size
+    assert weights(state) == weights(fresh)
+    assert state.adam.v.tobytes() == fresh.adam.v.tobytes()
 
 
 def test_library_results_are_not_written_by_later_calls():
