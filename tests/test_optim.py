@@ -1,4 +1,3 @@
-import pickle
 import tracemalloc
 
 import numpy as np

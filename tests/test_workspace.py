@@ -65,7 +65,7 @@ def test_a_workspace_holds_the_largest_critic_step():
     task_ids = rng.integers(0, 2, 12)
     actions = np.array([PLANTED.space.actions_at(int(r)) for r in rng.integers(0, 432, 12)])
     work = Workspace(params)
-    for round in range(2):
+    for warm in (False, True):
         buffers = []
         for active in (12, 11):
             fwd = teacher_forced(params, task_ids, actions, work)
@@ -76,7 +76,7 @@ def test_a_workspace_holds_the_largest_critic_step():
             want = policy_backward(params, alone, d)
             assert policy_backward(params, fwd, d, work).tobytes() == want.tobytes()
             buffers.append((work.forward.buffer, work.backward.buffer))
-            if round:
+            if warm:
                 assert 0 < work.forward.used <= work.forward.buffer.size
                 assert 0 < work.backward.used <= work.backward.buffer.size
     assert all(f is buffers[0][0] and b is buffers[0][1] for f, b in buffers)
