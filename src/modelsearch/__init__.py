@@ -23,7 +23,6 @@ from .config import (
 from .controller import (
     ControllerDims,
     ControllerParams,
-    SampledModel,
     action_distributions,
     add_task,
     exact_action_distributions,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, LengthMismatch, ShapeMismatch, UnknownTask
-from .kernel import (  # noqa: F401 - log_softmax stays a name here for perfbench's tracer
+from .kernel import (  # noqa: F401 - softmax and log_softmax stay names here for perfbench's tracer
     LstmLayerParams,
     LstmRecord,
     Scratch,
@@ -177,15 +177,6 @@ def add_task(params: ControllerParams, rng) -> tuple[ControllerParams, int]:
     return grown, new_id
 
 
-@dataclass
-class SampledModel:
-    """One sampled action sequence with its behavior-policy log-probs."""
-
-    task_id: int
-    actions: tuple[int, ...]
-    behavior_log_probs: np.ndarray  # per step, <= 0
-
-
 class Workspace:
     """Memory that the critic step reuses: ``teacher_forced``,
     ``policy_backward``, Adam and the Polyak blend.
@@ -242,6 +233,26 @@ def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return np.minimum(idx, probs.shape[1] - 1)
 
 
+def _policy_step(params: ControllerParams, t: int, x, state, slots=None):
+    """Step t of the policy for a ``(B, input_size)`` batch of inputs.
+
+    One LSTM step through the stack, step t's projection, then one max,
+    exp and sum of the logits. Returns ``(out, state, z, e, total)``: the
+    top-layer output, the new per-layer states, the max-subtracted logits
+    ``z``, ``e = exp(z)`` and its row sums ``total``, ``(B, 1)``; the
+    probabilities are ``e / total``. ``slots`` is as lstm_step_record's
+    ``out``.
+    """
+    out, state = lstm_step_record(params.lstm_layers(), x, state, slots)
+    w, b = params.projection(t)
+    logits = out @ w
+    logits += b
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = np.exp(z)
+    total = np.add.reduce(e, axis=1, keepdims=True)
+    return out, state, z, e, total
+
+
 def _forward(
     params: ControllerParams,
     task_ids,
@@ -256,9 +267,9 @@ def _forward(
     sampled sequence reproduces its log-probs bit for bit when re-scored
     with the same batch rows. Row t of one ``(T, B, input_size)`` buffer is
     step t's input: the task columns are written once, and the action
-    columns as soon as step t - 1 has its actions. Each step takes one
-    max, exp and sum of its logits; the probabilities and the chosen
-    actions' log-probs both come from them. A recording pass takes its
+    columns as soon as step t - 1 has its actions. Each step is one
+    _policy_step; the probabilities and the chosen actions' log-probs both
+    come from its max, exp and sum. A recording pass takes its
     arrays from ``empty`` and has each LSTM step write its activations
     into step t of the layers' records.
     """
@@ -304,13 +315,7 @@ def _forward(
 
     for t in range(T):
         slots = None if records is None else [r.step(t) for r in records]
-        out, state, _ = lstm_step_record(layers, x[t], state, slots)
-        w, b = params.projection(t)
-        logits = out @ w
-        logits += b
-        z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-        e = np.exp(z)
-        total = np.add.reduce(e, axis=1, keepdims=True)
+        out, state, z, e, total = _policy_step(params, t, x[t], state, slots)
         p = None
         if sampling or record:
             p = np.divide(e, total, out=None if probs is None else probs[t])
@@ -335,14 +340,13 @@ def _forward(
     )
 
 
-def sample_sequence(params: ControllerParams, task_id, rng) -> SampledModel:
-    """Sample one action sequence for a task from the current policy."""
+def sample_sequence(params: ControllerParams, task_id, rng) -> tuple[tuple[int, ...], np.ndarray]:
+    """Sample one action sequence for a task from the current policy.
+
+    Returns (actions, per-step log-probs), one row of sample_batch.
+    """
     fwd = _forward(params, [task_id], rng=rng)
-    return SampledModel(
-        task_id=int(task_id),
-        actions=tuple(int(a) for a in fwd.actions[0]),
-        behavior_log_probs=fwd.log_probs[0].copy(),
-    )
+    return tuple(int(a) for a in fwd.actions[0]), fwd.log_probs[0].copy()
 
 
 def sequence_log_probs(params: ControllerParams, task_id, actions) -> np.ndarray:
@@ -464,12 +468,12 @@ def exact_action_distributions(params: ControllerParams, task_id) -> list[np.nda
     """Exact per-parameter marginals by expanding the prefix tree level by level.
 
     Level t holds every prefix of length t with its probability ``P``, the
-    row of its parent in level t-1 and the action it fed last. One LSTM step
-    per row gives the distribution ``p`` of the next action, so the marginal
-    of parameter t is ``P @ p``; the next level's prefixes have probability
-    ``P * p``. The last level is never expanded, so each sequence of the
-    space costs no LSTM step of its own. Each step runs at most EXACT_CHUNK
-    rows, gathering the parents' states by index.
+    row of its parent in level t-1 and the action it fed last. One
+    _policy_step per row gives the distribution ``p`` of the next action,
+    so the marginal of parameter t is ``P @ p``; the next level's prefixes
+    have probability ``P * p``. The last level is never expanded, so each
+    sequence of the space costs no LSTM step of its own. Each step runs at
+    most EXACT_CHUNK rows, gathering the parents' states by index.
 
     Only valid on spaces whose cardinality is at most
     EXACT_ENUMERATION_LIMIT. Raises UnknownTask for a bad ``task_id``.
@@ -479,7 +483,6 @@ def exact_action_distributions(params: ControllerParams, task_id) -> list[np.nda
     if M > EXACT_ENUMERATION_LIMIT:
         raise ValueError(f"cardinality {M} too large for exact enumeration")
     dims = params.dims
-    layers = params.lstm_layers()
     task_e = params.task_embeddings()[params.check_tasks(task_id)]
     h0 = np.zeros((1, dims.hidden_size))
     state = [(h0, h0)] * dims.num_layers  # the parent level's (h, c) per layer
@@ -495,19 +498,18 @@ def exact_action_distributions(params: ControllerParams, task_id) -> list[np.nda
         if expand:
             new_state = [
                 (np.empty((n, dims.hidden_size)), np.empty((n, dims.hidden_size)))
-                for _ in layers
+                for _ in state
             ]
         table = params.action_table(t - 1) if t else params.start_embedding()[None]
-        w, b = params.projection(t)
         for lo in range(0, n, EXACT_CHUNK):
             rows = slice(lo, lo + EXACT_CHUNK)
             idx = parent[rows]
             task_rows = np.broadcast_to(task_e, (idx.shape[0], dims.task_embed))
             x = np.concatenate([table[acts[rows]], task_rows], axis=1)
-            out, chunk_state, _ = lstm_step_record(
-                layers, x, [(h[idx], c[idx]) for h, c in state]
+            _, chunk_state, _, e, total = _policy_step(
+                params, t, x, [(h[idx], c[idx]) for h, c in state]
             )
-            probs[rows] = softmax(out @ w + b)
+            np.divide(e, total, out=probs[rows])
             if expand:
                 for (h, c), (h_new, c_new) in zip(new_state, chunk_state):
                     h[rows] = h_new

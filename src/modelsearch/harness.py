@@ -1,8 +1,9 @@
 """Experiment orchestration: multi-seed runs and plot-ready CSV artifacts.
 
-Per seed the harness writes an append-only event log
+Per seed, once its search has finished, the harness writes the event log
 (``iteration,task,reward,baseline,advantage_norm``), a best-model summary
-and a final checkpoint. After all seeds finish it writes aggregate
+and a final checkpoint into ``seed_<n>/``; a seed whose search fails
+leaves no such directory. After all seeds finish it writes aggregate
 artifacts: per-task reward curves (raw + smoothed), a per-task action
 distribution heatmap (``task,parameter,choice,probability``) and the
 task-embedding correlation matrix (``task_a,task_b,pearson``), plus a
@@ -58,19 +59,14 @@ def _csv_writer(f):
     return csv.writer(f, lineterminator="\n")
 
 
-class _EventWriter:
-    def __init__(self, path: Path):
-        self.f = open(path, "w", newline="")
-        self.w = _csv_writer(self.f)
-        self.w.writerow(EVENT_HEADER)
-
-    def __call__(self, e: Event):
-        self.w.writerow(
+def _write_events(state: TrainerState, path: Path):
+    with open(path, "w", newline="") as f:
+        w = _csv_writer(f)
+        w.writerow(EVENT_HEADER)
+        w.writerows(
             [e.iteration, e.task_name, _fmt(e.reward), _fmt(e.baseline), _fmt(e.advantage_norm)]
+            for e in state.events
         )
-
-    def close(self):
-        self.f.close()
 
 
 def _write_best_models(state: TrainerState, path: Path):
@@ -92,18 +88,15 @@ def _write_best_models(state: TrainerState, path: Path):
 
 
 def _run_one_seed(config: ExperimentConfig, tasks, ckpt, seed: int, seed_dir: Path):
-    """One seed's search, fresh or (with ``ckpt``) transferred; writes its files."""
-    seed_dir.mkdir(parents=True, exist_ok=True)
+    """One seed's search, fresh or (with ``ckpt``) transferred; then its files."""
     rng = np.random.default_rng(seed)
     if ckpt is not None:
         state = transfer_init(ckpt, tasks, rng, config=config.trainer)
     else:
         state = build_state(config.space, tasks, config.trainer, rng, config.dims)
-    writer = _EventWriter(seed_dir / "events.csv")
-    try:
-        run_state(state, rng, on_event=writer)
-    finally:
-        writer.close()
+    run_state(state, rng)
+    seed_dir.mkdir(parents=True, exist_ok=True)
+    _write_events(state, seed_dir / "events.csv")
     _write_best_models(state, seed_dir / "best_models.json")
     save_checkpoint(state, seed_dir / "checkpoint.bin", meta_extra={"seed": seed})
     artifacts = ["events.csv", "best_models.json", "checkpoint.bin", "checkpoint.bin.manifest.txt"]

@@ -229,9 +229,9 @@ def lstm_step_record(params, x: np.ndarray, state, out=None):
 
     ``state`` holds one ``(h, c)`` pair of ``(B, H)`` arrays per layer.
     Layer l's hidden output feeds layer l+1's input. Returns (top h, the
-    new list of pairs, ``out``). ``out`` is None or one LstmStepRecord per
-    layer, ``record.step(t)`` of each layer's LstmRecord; the step's
-    activations are then written there, by the same arithmetic.
+    new list of pairs). ``out`` is None or one LstmStepRecord per layer,
+    ``record.step(t)`` of each layer's LstmRecord; the step's activations
+    are then written there, by the same arithmetic.
     """
     params = list(params)
     if len(params) != len(state):
@@ -253,7 +253,7 @@ def lstm_step_record(params, x: np.ndarray, state, out=None):
             raise ShapeMismatch("state width does not match hidden size")
         inp, c = _layer_forward(p, inp, h_prev, c_prev, slot)
         new_layers.append((inp, c))
-    return inp, new_layers, out
+    return inp, new_layers
 
 
 def lstm_sequence_backward(params, records, d_outputs, grads, work: Scratch | None = None):

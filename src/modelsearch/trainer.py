@@ -5,12 +5,12 @@ is searched exactly when it has an evaluator. One iteration: pick one of
 the searched tasks uniformly at random, let the actor controller sample
 model configurations for it, evaluate them to get rewards and update the
 per-task reward baseline. Each kept sample becomes one ``Event``, pushed
-once onto the event log and handed to the ``on_event`` callback. Then
-the critic controller takes one clipped off-policy policy-gradient step
-on a batch drawn from the replay bank: the log's last ``replay_capacity``
-events. Every ``steps_per_sync`` critic steps (the critic's Adam step
-count) the actor is pulled toward the critic by Polyak averaging,
-keeping a slow-moving behavior policy while the critic trains off-policy.
+once onto the event log. Then the critic controller takes one clipped
+off-policy policy-gradient step on a batch drawn from the replay bank: the
+log's last ``replay_capacity`` events. Every ``steps_per_sync`` critic
+steps (the critic's Adam step count) the actor is pulled toward the critic
+by Polyak averaging, keeping a slow-moving behavior policy while the
+critic trains off-policy.
 
 The state owns its controllers' weights: the Adam step writes the
 critic's flat vector in place and the Polyak blend writes the actor's.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,9 +123,6 @@ class BaselineTable:
         else:
             self._values[task_id] = self.decay * b + (1.0 - self.decay) * float(reward)
         return self
-
-    def initialized(self, task_id: int) -> bool:
-        return task_id in self._values
 
     def value(self, task_id: int) -> float:
         if task_id not in self._values:
@@ -300,7 +297,7 @@ def _critic_step(state: TrainerState, rng) -> float | None:
     return loss
 
 
-def train_iteration(state: TrainerState, rng, on_event: Callable | None = None):
+def train_iteration(state: TrainerState, rng):
     """One controller training iteration; records one Event per kept sample."""
     cfg = state.config
     task_id = draw_task(state.evaluators, rng)
@@ -308,8 +305,8 @@ def train_iteration(state: TrainerState, rng, on_event: Callable | None = None):
     task_name = state.task_names[task_id]
 
     for _ in range(cfg.samples_per_iteration):
-        model = sample_sequence(state.actor, task_id, rng)
-        config = state.actor.space.decode(model.actions)
+        actions, log_probs = sample_sequence(state.actor, task_id, rng)
+        config = state.actor.space.decode(actions)
         eval_seed = int(rng.integers(0, 2**63 - 1))
         try:
             reward = float(evaluator(config, eval_seed))
@@ -334,28 +331,24 @@ def train_iteration(state: TrainerState, rng, on_event: Callable | None = None):
             reward=reward,
             baseline=baseline,
             advantage_norm=float(compute_advantage(reward, baseline, cfg.baseline_floor)),
-            actions=model.actions,
-            behavior_log_probs=model.behavior_log_probs,
+            actions=actions,
+            behavior_log_probs=log_probs,
         )
         state.events.push(event)
-        if on_event is not None:
-            on_event(event)
 
     for _ in range(cfg.critic_steps_per_iteration):
         _critic_step(state, rng)
     state.iteration += 1
 
 
-def run_state(
-    state: TrainerState, seed_or_rng, on_event: Callable | None = None
-) -> TrainerState:
+def run_state(state: TrainerState, seed_or_rng) -> TrainerState:
     """Run the configured number of iterations on an existing state.
 
     Returns the same state, now holding the run's events.
     """
     rng = np.random.default_rng(seed_or_rng)
     for _ in range(state.config.total_iterations):
-        train_iteration(state, rng, on_event)
+        train_iteration(state, rng)
     return state
 
 
@@ -365,8 +358,7 @@ def run_search(
     config: TrainerConfig,
     seed: int,
     dims: ControllerDims = ControllerDims(),
-    on_event: Callable | None = None,
 ) -> TrainerState:
     """Fresh multitask search: deterministic function of its arguments."""
     rng = np.random.default_rng(seed)
-    return run_state(build_state(space, tasks, config, rng, dims), rng, on_event)
+    return run_state(build_state(space, tasks, config, rng, dims), rng)

@@ -19,6 +19,7 @@ from modelsearch.checkpoint import (
 )
 from modelsearch.controller import ControllerDims, init_controller
 from modelsearch.errors import (
+    BaselineUninitialized,
     DegenerateEmbedding,
     FingerprintMismatch,
     IoFailure,
@@ -418,7 +419,8 @@ def test_transfer_empties_replay_and_baselines(tmp_path):
     assert len(new_state.events) == 0
     for task_id, name in enumerate(new_state.task_names):
         if name in ("gamma", "delta"):
-            assert not new_state.baselines.initialized(task_id)
+            with pytest.raises(BaselineUninitialized):
+                new_state.baselines.value(task_id)
 
 
 def test_transfer_registers_new_tasks_active_old_inactive(tmp_path):

@@ -56,10 +56,10 @@ def test_uniform_logits_give_uniform_log_probs():
         w, b = params.projection(i)
         w[...] = 0.0
         b[...] = 0.0
-    model = sample_sequence(params, 0, np.random.default_rng(0))
+    actions, sampled_lp = sample_sequence(params, 0, np.random.default_rng(0))
     expected = np.array([-np.log(2), -np.log(3)])
-    assert np.allclose(model.behavior_log_probs, expected, atol=1e-12)
-    lp = sequence_log_probs(params, 0, model.actions)
+    assert np.allclose(sampled_lp, expected, atol=1e-12)
+    lp = sequence_log_probs(params, 0, actions)
     assert np.allclose(lp, expected, atol=1e-12)
 
 
@@ -67,9 +67,9 @@ def test_sampled_log_probs_match_rescoring_exactly():
     params = init_controller(TINY, 2, 5, SMALL_DIMS)
     rng = np.random.default_rng(9)
     for _ in range(20):
-        model = sample_sequence(params, 1, rng)
-        lp = sequence_log_probs(params, 1, model.actions)
-        assert np.array_equal(lp, model.behavior_log_probs)
+        actions, sampled_lp = sample_sequence(params, 1, rng)
+        lp = sequence_log_probs(params, 1, actions)
+        assert np.array_equal(lp, sampled_lp)
 
 
 def test_unknown_task_rejected():

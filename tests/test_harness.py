@@ -639,3 +639,23 @@ def test_cli_search_skips_non_finite_rewards(tmp_path, monkeypatch):
         rows = list(csv.DictReader(f))
     assert len(rows) == 20  # 40 iterations, every other reward NaN
     assert all(float(r["reward"]) == 0.5 for r in rows)
+
+
+def test_cli_search_that_fails_mid_run_leaves_no_seed_dir(tmp_path, monkeypatch, capsys):
+    from modelsearch import trainer
+    from modelsearch.errors import NonFiniteGradient
+
+    critic_step = trainer._critic_step
+
+    def failing_step(state, rng):
+        if state.iteration == 20:
+            raise NonFiniteGradient("gradient contains NaN or inf")
+        return critic_step(state, rng)
+
+    monkeypatch.setattr(trainer, "_critic_step", failing_step)
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli_main(["search", "--config", str(cfg_path), "--seed", "0", "--out", str(out)]) == 2
+    assert "NaN or inf" in capsys.readouterr().err
+    # no events.csv cut short at the failure that reads like a finished run
+    assert not (out / "seed_0").exists()

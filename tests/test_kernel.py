@@ -44,7 +44,7 @@ def zero_state(n_layers, hidden, batch):
 def test_zero_weights_zero_state_gives_zero_output():
     layers = make_layers(3, 4, 2)
     state = zero_state(2, 4, 1)
-    out, new_state, _ = lstm_step_record(layers, np.ones((1, 3)), state)
+    out, new_state = lstm_step_record(layers, np.ones((1, 3)), state)
     assert np.allclose(out, 0.0)
     for h, c in new_state:
         assert np.allclose(h, 0.0)
@@ -55,7 +55,7 @@ def test_zero_weights_nonzero_cell():
     # gates sit at 1/2, candidate at 0: c' = c/2, h' = sigmoid(0)*tanh(c')
     layers = make_layers(2, 1, 1)
     state = [(np.array([[0.3]]), np.array([[2.0]]))]
-    out, new_state, _ = lstm_step_record(layers, np.zeros((1, 2)), state)
+    out, new_state = lstm_step_record(layers, np.zeros((1, 2)), state)
     h, c = new_state[0]
     assert np.allclose(c, 1.0)
     assert np.allclose(h, 0.5 * np.tanh(1.0))
@@ -171,7 +171,7 @@ def _sequence_loss(layers, inputs, probe):
     total = 0.0
     records = [LstmRecord.empty(p, len(inputs), 1) for p in layers]
     for t, x in enumerate(inputs):
-        out, state, _ = lstm_step_record(layers, x, state, [r.step(t) for r in records])
+        out, state = lstm_step_record(layers, x, state, [r.step(t) for r in records])
         total += float(probe[t][0] @ out[0])
     return total, records
 

@@ -78,7 +78,6 @@ def test_reward_scaling_leaves_normalized_advantage_unchanged():
 
 def test_baseline_first_reward_initializes():
     t = BaselineTable(0.95)
-    assert not t.initialized(0)
     with pytest.raises(BaselineUninitialized):
         t.value(0)
     t.update(0, 0.7)
@@ -108,7 +107,9 @@ def test_baseline_from_dict_skips_uninitialized_entries():
         "1": {"value": 0.0, "decay": 0.95, "initialized": False},
     }
     t = BaselineTable.from_dict(stored, 0.95)
-    assert t.initialized(0) and not t.initialized(1)
+    assert t.value(0) == 0.5
+    with pytest.raises(BaselineUninitialized):
+        t.value(1)
     assert t.as_dict() == {"0": stored["0"]}
 
 
@@ -306,9 +307,9 @@ def test_off_policy_ratio_one_for_equal_params():
     from modelsearch.controller import sample_sequence, sequence_log_probs
 
     state = small_state()
-    model = sample_sequence(state.actor, 0, np.random.default_rng(6))
-    new_lp = sequence_log_probs(state.critic, 0, model.actions)
-    ratio = np.exp(new_lp.sum() - model.behavior_log_probs.sum())
+    actions, old_lp = sample_sequence(state.actor, 0, np.random.default_rng(6))
+    new_lp = sequence_log_probs(state.critic, 0, actions)
+    ratio = np.exp(new_lp.sum() - old_lp.sum())
     assert ratio == 1.0
 
 
