@@ -198,10 +198,10 @@ class Workspace:
 
 @dataclass
 class ForwardPass:
-    """A forward pass; a recorded one keeps what the backward pass needs.
+    """A forward pass; a scoring one records what the backward pass needs.
 
-    Recorded arrays are sequence-major: ``hidden`` is ``(T, B, H)`` and
-    each layer's LstmRecord stores its steps along the first axis. Steps
+    Each layer's LstmRecord stores its steps along the first axis; the top
+    layer's outputs are not kept, since its record determines them. Steps
     choose among different numbers of actions, so ``probs`` is a list.
     """
 
@@ -209,7 +209,6 @@ class ForwardPass:
     actions: np.ndarray  # (B, T) int
     log_probs: np.ndarray  # (B, T)
     probs: list | None = None  # per step: (B, k_t)
-    hidden: np.ndarray | None = None  # (T, B, H): top-layer outputs
     records: list | None = None  # per layer: kernel LstmRecord
 
     def rows(self, idx: np.ndarray, empty=np.empty) -> "ForwardPass":
@@ -220,7 +219,6 @@ class ForwardPass:
             actions=self.actions.take(idx, axis=0),
             log_probs=take_into(self.log_probs, idx, 0, empty),
             probs=[take_into(p, idx, 0, empty) for p in self.probs],
-            hidden=take_into(self.hidden, idx, 1, empty),
             records=[r.take(idx, empty) for r in self.records],
         )
 
@@ -233,17 +231,17 @@ def _categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return np.minimum(idx, probs.shape[1] - 1)
 
 
-def _policy_step(params: ControllerParams, t: int, x, state, slots=None):
+def _policy_step(params: ControllerParams, t: int, x, state, records=None):
     """Step t of the policy for a ``(B, input_size)`` batch of inputs.
 
     One LSTM step through the stack, step t's projection, then one max,
     exp and sum of the logits. Returns ``(out, state, z, e, total)``: the
     top-layer output, the new per-layer states, the max-subtracted logits
     ``z``, ``e = exp(z)`` and its row sums ``total``, ``(B, 1)``; the
-    probabilities are ``e / total``. ``slots`` is as lstm_step_record's
-    ``out``.
+    probabilities are ``e / total``. ``records`` is None or one LstmRecord
+    per layer, whose row t the LSTM step then writes.
     """
-    out, state = lstm_step_record(params.lstm_layers(), x, state, slots)
+    out, state = lstm_step_record(params.lstm_layers(), x, state, records, t)
     w, b = params.projection(t)
     logits = out @ w
     logits += b
@@ -258,20 +256,19 @@ def _forward(
     task_ids,
     actions=None,
     rng: np.random.Generator | None = None,
-    record: bool = False,
     empty=np.empty,
 ) -> ForwardPass:
-    """Shared forward pass: samples when ``actions`` is None, else replays.
+    """Shared forward pass: samples when ``actions`` is None, else scores.
 
-    The same code path serves sampling, scoring and recording, so a freshly
-    sampled sequence reproduces its log-probs bit for bit when re-scored
-    with the same batch rows. Row t of one ``(T, B, input_size)`` buffer is
-    step t's input: the task columns are written once, and the action
-    columns as soon as step t - 1 has its actions. Each step is one
-    _policy_step; the probabilities and the chosen actions' log-probs both
-    come from its max, exp and sum. A recording pass takes its
-    arrays from ``empty`` and has each LSTM step write its activations
-    into step t of the layers' records.
+    The same code path serves sampling and scoring, so a freshly sampled
+    sequence reproduces its log-probs bit for bit when re-scored with the
+    same batch rows. Row t of one ``(T, B, input_size)`` buffer is step t's
+    input: the task columns are written once, and the action columns as
+    soon as step t - 1 has its actions. Each step is one _policy_step; the
+    probabilities and the chosen actions' log-probs both come from its
+    max, exp and sum. Its arrays come from ``empty``. A scoring pass also
+    keeps the probabilities and has each LSTM step write its activations
+    into row t of the layers' records; a sampling pass keeps neither.
     """
     space = params.space
     dims = params.dims
@@ -306,27 +303,21 @@ def _forward(
     x[0, :, :A] = params.start_embedding()
 
     log_probs = empty((B, T))
-    probs = hidden = records = None
-    if record:
+    probs = records = None
+    if not sampling:
         probs = [empty((B, k)) for k in space.choice_counts]
-        hidden = empty((T, B, dims.hidden_size))
         records = [LstmRecord.empty(p, T, B, empty) for p in layers]
     rows = np.arange(B)
 
     for t in range(T):
-        slots = None if records is None else [r.step(t) for r in records]
-        out, state, z, e, total = _policy_step(params, t, x[t], state, slots)
-        p = None
-        if sampling or record:
-            p = np.divide(e, total, out=None if probs is None else probs[t])
+        _, state, z, e, total = _policy_step(params, t, x[t], state, records)
+        p = np.divide(e, total, out=None if probs is None else probs[t])
         if sampling:
             a_t = _categorical_rows(p, rng)
             out_actions[:, t] = a_t
         else:
             a_t = out_actions[:, t]
         log_probs[:, t] = z[rows, a_t] - np.log(total[:, 0])
-        if record:
-            hidden[t] = out
         if t + 1 < T:
             x[t + 1, :, :A] = params.action_table(t)[a_t]
 
@@ -335,7 +326,6 @@ def _forward(
         actions=out_actions,
         log_probs=log_probs,
         probs=probs,
-        hidden=hidden,
         records=records,
     )
 
@@ -364,12 +354,12 @@ def sample_batch(params: ControllerParams, task_ids, rng) -> tuple[np.ndarray, n
 def teacher_forced(
     params: ControllerParams, task_ids, actions, work: Workspace | None = None
 ) -> ForwardPass:
-    """Batched scoring pass with activations recorded for backprop.
+    """Batched scoring pass; its records are what policy_backward needs.
 
     With ``work`` the pass lives in the workspace's forward scratch.
     """
     empty = np.empty if work is None else work.forward.clear().empty
-    return _forward(params, task_ids, actions=actions, record=True, empty=empty)
+    return _forward(params, task_ids, actions=actions, empty=empty)
 
 
 def policy_backward(
@@ -418,16 +408,20 @@ def policy_backward(
         d_log_probs = d_log_probs[active]
         B = active.size
     rows = np.arange(B)
+    # the top layer's outputs o * tanh(c), the product its forward step returned
+    H = dims.hidden_size
+    top = fwd.records[-1]
+    hidden = np.multiply(top.z[..., 3 * H :], top.tc, out=empty((T, B, H)))
 
     # through each step's projection into the top-layer hidden outputs
-    d_outputs = empty((T, B, dims.hidden_size))
+    d_outputs = empty((T, B, H))
     for t in range(T):
         g = d_log_probs[:, t][:, None]
         dlogits = -fwd.probs[t] * g
         dlogits[rows, fwd.actions[:, t]] += d_log_probs[:, t]
         w, _ = params.projection(t)
         g_w, g_b = grads.projection(t)
-        g_w += fwd.hidden[t].T @ dlogits
+        g_w += hidden[t].T @ dlogits
         g_b += dlogits.sum(axis=0)
         np.matmul(dlogits, w.T, out=d_outputs[t])
 

@@ -289,13 +289,16 @@ def child_init(d_in: int, n_layers: int, n_nodes: int, n_classes: int, rng) -> l
     return params
 
 
-def child_forward_logits(params: list, x: np.ndarray) -> np.ndarray:
+def child_forward_logits(params: list, x: np.ndarray, outs=None) -> np.ndarray:
+    """Logits of a batch. ``outs`` is None or one array per layer, into which
+    that layer's output is then written; without it each is allocated."""
     h = x
     n_pairs = len(params) // 2
     for i in range(n_pairs):
-        h = h @ params[2 * i] + params[2 * i + 1]
+        h = np.matmul(h, params[2 * i], out=None if outs is None else outs[i])
+        h += params[2 * i + 1]
         if i + 1 < n_pairs:  # the head stays linear
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h
 
 
@@ -325,15 +328,7 @@ def child_grads(params: list, x: np.ndarray, y: np.ndarray, grads: list, bufs: C
     ``bufs.outs[-1]``.
     """
     n_pairs = len(params) // 2
-    h = x
-    for i in range(n_pairs):
-        z = np.matmul(h, params[2 * i], out=bufs.outs[i])
-        z += params[2 * i + 1]
-        if i + 1 < n_pairs:  # the head stays linear
-            np.maximum(z, 0.0, out=z)
-        h = z
-    logits = h
-
+    logits = child_forward_logits(params, x, bufs.outs)
     d = softmax(logits)
     d[bufs.rows, y] -= 1.0
     d /= x.shape[0]

@@ -286,10 +286,18 @@ def _auc(iterations: np.ndarray, values: np.ndarray) -> float:
 
 
 def report_compare(run_dirs, threshold: float, window: int = 101, poly_order: int = 3):
-    """Iterations-to-threshold, best reward and smoothed AUC per run/seed/task."""
+    """Iterations-to-threshold, best reward and smoothed AUC per run/seed/task.
+
+    Every run directory must hold the ``manifest.json`` a finished run
+    writes last; MissingLog names the first that does not, before any log
+    is read.
+    """
+    run_dirs = [Path(d) for d in run_dirs]
+    for run_dir in run_dirs:
+        if not (run_dir / "manifest.json").is_file():
+            raise MissingLog(f"no manifest.json under {run_dir}: the run did not finish")
     rows = []
     for run_dir in run_dirs:
-        run_dir = Path(run_dir)
         logs = sorted(run_dir.glob("seed_*/events.csv"))
         if not logs:
             raise MissingLog(f"no seed_*/events.csv under {run_dir}")

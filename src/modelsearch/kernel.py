@@ -21,8 +21,10 @@ A recorded pass keeps one LstmRecord per layer, stored sequence-major:
 ``[x, h_prev]`` as ``(T, B, input_size + H)``, the gate row as
 ``(T, B, 4H)``, the cell as ``(T + 1, B, H)`` with row 0 the initial
 cell, and ``tanh(c)`` as ``(T, B, H)``. The forward step still runs one
-step at a time and writes step t of each record through ``out``; with or
-without it the step takes the same arithmetic. The backward runs layer
+step at a time and, given the records and the step index t, writes row
+t of each in place; with or without them the step takes the same
+arithmetic. The top layer's outputs are not stored: they are
+``o * tanh(c)``, which its record determines. The backward runs layer
 by layer over those records (see lstm_sequence_backward), so its sums
 agree with a step-by-step backward's to rounding, not bit for bit.
 
@@ -144,18 +146,6 @@ def take_into(a: np.ndarray, idx: np.ndarray, axis: int, empty=np.empty) -> np.n
 
 
 @dataclass(slots=True)
-class LstmStepRecord:
-    """Where one layer's forward step writes its activations: step t of an
-    LstmRecord, as ``record.step(t)`` gives it."""
-
-    xh: np.ndarray  # (B, input_size + H): [x, h_prev]
-    z: np.ndarray  # (B, 4H): the gates i, f, g, o
-    c_prev: np.ndarray  # (B, H)
-    c: np.ndarray  # (B, H)
-    tc: np.ndarray  # (B, H): tanh(c)
-
-
-@dataclass(slots=True)
 class LstmRecord:
     """One layer's activations over a whole sequence, stored sequence-major."""
 
@@ -175,9 +165,6 @@ class LstmRecord:
             empty((steps, batch, h)),
         )
 
-    def step(self, t: int) -> LstmStepRecord:
-        return LstmStepRecord(self.xh[t], self.z[t], self.c[t], self.c[t + 1], self.tc[t])
-
     def take(self, idx, empty=np.empty) -> "LstmRecord":
         """The record restricted to the batch rows ``idx``, one take per array."""
         return LstmRecord(*(take_into(getattr(self, n), idx, 1, empty) for n in self.__slots__))
@@ -196,14 +183,14 @@ def _gate_rows(h: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, offset
 
 
-def _layer_forward(p: LstmLayerParams, x, h_prev, c_prev, out: LstmStepRecord | None):
+def _layer_forward(p: LstmLayerParams, x, h_prev, c_prev, rec: LstmRecord | None, t: int):
     h = p.hidden_size
     scale, offset = _gate_rows(h)
     xh = z = c = tc = None
-    if out is not None:
-        xh, z, c, tc = out.xh, out.z, out.c, out.tc
+    if rec is not None:
+        xh, z, c, tc = rec.xh[t], rec.z[t], rec.c[t + 1], rec.tc[t]
         # after step 0, c_prev is already the record's own row t
-        out.c_prev[...] = c_prev
+        rec.c[t] = c_prev
     xh = np.concatenate([x, h_prev], axis=1, out=xh)
     z = np.matmul(xh, p.w, out=z)
     z += p.b
@@ -224,14 +211,14 @@ def _layer_forward(p: LstmLayerParams, x, h_prev, c_prev, out: LstmStepRecord | 
     return o * tc, c
 
 
-def lstm_step_record(params, x: np.ndarray, state, out=None):
+def lstm_step_record(params, x: np.ndarray, state, records=None, t: int = 0):
     """One forward step of a ``(B, d)`` batch through the layer stack.
 
     ``state`` holds one ``(h, c)`` pair of ``(B, H)`` arrays per layer.
     Layer l's hidden output feeds layer l+1's input. Returns (top h, the
-    new list of pairs). ``out`` is None or one LstmStepRecord per layer,
-    ``record.step(t)`` of each layer's LstmRecord; the step's activations
-    are then written there, by the same arithmetic.
+    new list of pairs). ``records`` is None or one LstmRecord per layer;
+    the step's activations are then written into step ``t`` of each, by
+    the same arithmetic.
     """
     params = list(params)
     if len(params) != len(state):
@@ -243,15 +230,16 @@ def lstm_step_record(params, x: np.ndarray, state, out=None):
         raise ShapeMismatch(
             f"input size {x.shape[-1]} != expected {params[0].input_size}"
         )
-    slots = [None] * len(params) if out is None else out
-    if len(slots) != len(params):
-        raise ShapeMismatch("out has a different number of layers than params")
+    if records is None:
+        records = [None] * len(params)
+    elif len(records) != len(params):
+        raise ShapeMismatch("records has a different number of layers than params")
     new_layers = []
     inp = x
-    for p, (h_prev, c_prev), slot in zip(params, state, slots):
+    for p, (h_prev, c_prev), rec in zip(params, state, records):
         if h_prev.shape[-1] != p.hidden_size:
             raise ShapeMismatch("state width does not match hidden size")
-        inp, c = _layer_forward(p, inp, h_prev, c_prev, slot)
+        inp, c = _layer_forward(p, inp, h_prev, c_prev, rec, t)
         new_layers.append((inp, c))
     return inp, new_layers
 

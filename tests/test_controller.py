@@ -180,9 +180,9 @@ def test_prefix_expansion_matches_enumeration_on_the_planted_pair_space(monkeypa
     params = peaked_controller(config.space, 3)
     rows = []
 
-    def counting_step(layers, x, state, out=None):
+    def counting_step(layers, x, state, records=None, t=0):
         rows.append(x.shape[0])
-        return lstm_step_record(layers, x, state, out)
+        return lstm_step_record(layers, x, state, records, t)
 
     monkeypatch.setattr(controller, "lstm_step_record", counting_step)
     for task_id in (0, 1):
@@ -328,6 +328,22 @@ def per_step_backward(params, records, d_outputs, grads):
     return d_inputs
 
 
+def unrecorded_top_outputs(params, task_ids, actions):
+    """The top layer's output at each step of the rows ``(task_ids, actions)``,
+    from LSTM steps that record nothing."""
+    dims = params.dims
+    h0 = np.zeros((len(task_ids), dims.hidden_size))
+    state = [(h0, h0)] * dims.num_layers
+    task = params.task_embeddings()[task_ids]
+    prev = np.broadcast_to(params.start_embedding(), (len(task_ids), dims.action_embed))
+    outs = []
+    for t in range(params.space.n_params):
+        out, state = lstm_step_record(params.lstm_layers(), np.hstack([prev, task]), state)
+        outs.append(out)
+        prev = params.action_table(t)[actions[:, t]]
+    return outs
+
+
 def full_batch_policy_backward(params, fwd, d_log_probs, lstm_backward=lstm_sequence_backward):
     """policy_backward as it was before it skipped rows: every row goes through."""
     space = params.space
@@ -336,6 +352,7 @@ def full_batch_policy_backward(params, fwd, d_log_probs, lstm_backward=lstm_sequ
     B = fwd.task_ids.shape[0]
     grads = ControllerParams.zeros(space, dims, params.n_tasks)
     rows = np.arange(B)
+    hidden = unrecorded_top_outputs(params, fwd.task_ids, fwd.actions)
     d_outputs = []
     for t in range(T):
         p = fwd.probs[t]
@@ -344,7 +361,7 @@ def full_batch_policy_backward(params, fwd, d_log_probs, lstm_backward=lstm_sequ
         dlogits[rows, fwd.actions[:, t]] += d_log_probs[:, t]
         w, _ = params.projection(t)
         g_w, g_b = grads.projection(t)
-        g_w += fwd.hidden[t].T @ dlogits
+        g_w += hidden[t].T @ dlogits
         g_b += dlogits.sum(axis=0)
         d_outputs.append(dlogits @ w.T)
     d_inputs = lstm_backward(params.lstm_layers(), fwd.records, d_outputs, grads.lstm_layers())

@@ -383,9 +383,10 @@ def test_flat_training_matches_per_array_loop_bitwise(
     real_forward = evaluators.child_forward_logits
     real_update = evaluators.adagrad_l2_update
 
-    def capture(params, x):
-        captured.append(([p.copy() for p in params], x.copy()))
-        return real_forward(params, x)
+    def capture(params, x, outs=None):
+        if outs is None:  # the validation pass; training steps write into buffers
+            captured.append(([p.copy() for p in params], x.copy()))
+        return real_forward(params, x, outs)
 
     calls = []
 

@@ -545,6 +545,7 @@ def test_cli_report_on_malformed_event_log_exits_2(tmp_path, capsys):
     for run, text in zip(runs, (GOOD_LOG, BAD_LOGS["non-numeric reward"][0])):
         (run / "seed_0").mkdir(parents=True)
         (run / "seed_0" / "events.csv").write_text(text)
+        (run / "manifest.json").write_text("{}\n")  # report reads finished runs only
     rc = cli_main(["report", *map(str, runs), "--threshold", "0.5", "--out", str(tmp_path / "c.csv")])
     assert rc == 2
     bad = runs[1] / "seed_0" / "events.csv"
@@ -560,6 +561,7 @@ def report_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     good = run_experiment(write_config(root), mode="search", seeds=[0], out_dir=root / "good")
     (root / "bad" / "seed_0").mkdir(parents=True)
+    (root / "bad" / "manifest.json").write_bytes((good / "manifest.json").read_bytes())
     return good, root / "bad"
 
 
@@ -659,3 +661,32 @@ def test_cli_search_that_fails_mid_run_leaves_no_seed_dir(tmp_path, monkeypatch,
     assert "NaN or inf" in capsys.readouterr().err
     # no events.csv cut short at the failure that reads like a finished run
     assert not (out / "seed_0").exists()
+
+
+def test_report_refuses_a_run_whose_later_seed_failed(tmp_path, monkeypatch, capsys):
+    from modelsearch import trainer
+    from modelsearch.errors import NonFiniteGradient
+
+    cfg_path = write_config(tmp_path)
+    done = tmp_path / "done"
+    assert cli_main(["search", "--config", str(cfg_path), "--seed", "0", "--out", str(done)]) == 0
+    critic_step = trainer._critic_step
+    at_20 = []
+
+    def failing_step(state, rng):
+        if state.iteration == 20:
+            at_20.append(state)
+            if len(at_20) == 2:  # iteration 20 of the second seed
+                raise NonFiniteGradient("gradient contains NaN or inf")
+        return critic_step(state, rng)
+
+    monkeypatch.setattr(trainer, "_critic_step", failing_step)
+    cut = tmp_path / "cut"
+    assert cli_main(["search", "--config", str(cfg_path), "--seed", "0,1", "--out", str(cut)]) == 2
+    assert (cut / "seed_0" / "events.csv").exists() and not (cut / "manifest.json").exists()
+    capsys.readouterr()
+    report_out = tmp_path / "cmp.csv"
+    argv = ["report", str(done), str(cut), "--threshold", "0.1", "--out", str(report_out)]
+    assert cli_main(argv) == 2
+    assert f"no manifest.json under {cut}" in capsys.readouterr().err
+    assert not report_out.exists()

@@ -145,24 +145,30 @@ def test_sigmoid_matches_mask_split_on_special_values():
     assert _same_bits(sigmoid(grid), _sigmoid_mask_split(grid))
 
 
-@pytest.mark.parametrize("batch", [1, 20])
-def test_fused_layer_forward_matches_per_gate_bitwise(batch):
+@pytest.mark.parametrize("batch, steps", [(1, 1), (20, 1), (3, 4)], ids=["1", "20", "3x4"])
+def test_fused_layer_forward_matches_per_gate_bitwise(batch, steps):
     rng = np.random.default_rng(11)
     (layer,) = make_layers(6, 5, 1, rng, scale=2.0)
-    x = rng.normal(0, 1, (batch, 6))
+    xs = rng.normal(0, 1, (steps, batch, 6))
     h_prev, c_prev = rng.normal(0, 1, (batch, 5)), rng.normal(0, 1, (batch, 5))
-    record = LstmRecord.empty(layer, 1, batch)
-    out, c = _layer_forward(layer, x, h_prev, c_prev, record.step(0))
-    ref_out, ref_c, (i, f, g, o, _, tc) = _layer_forward_per_gate(layer, x, h_prev, c_prev)
-    assert _same_bits(out, ref_out) and _same_bits(c, ref_c)
-    gates = record.z[0].reshape(batch, 4, 5).transpose(1, 0, 2)
-    for got, want in zip((*gates, record.tc[0]), (i, f, g, o, tc)):
-        assert _same_bits(got, want)
-    assert _same_bits(record.xh[0], np.hstack([x, h_prev]))
-    assert _same_bits(record.c[0], c_prev) and _same_bits(record.c[1], c)
-    # an unrecorded step takes the same arithmetic
-    free_out, free_c = _layer_forward(layer, x, h_prev, c_prev, None)
-    assert _same_bits(free_out, out) and _same_bits(free_c, c)
+    # every row a step leaves unwritten stays NaN
+    record = LstmRecord.empty(layer, steps, batch, lambda shape: np.full(shape, np.nan))
+    h, c = h_prev, c_prev
+    for t, x in enumerate(xs):
+        out, c_new = _layer_forward(layer, x, h, c, record, t)
+        ref_out, ref_c, (i, f, g, o, _, tc) = _layer_forward_per_gate(layer, x, h, c)
+        assert _same_bits(out, ref_out) and _same_bits(c_new, ref_c)
+        gates = record.z[t].reshape(batch, 4, 5).transpose(1, 0, 2)
+        for got, want in zip((*gates, record.tc[t]), (i, f, g, o, tc)):
+            assert _same_bits(got, want)
+        assert _same_bits(record.xh[t], np.hstack([x, h]))
+        # an unrecorded step takes the same arithmetic
+        free_out, free_c = _layer_forward(layer, x, h, c, None, 0)
+        assert _same_bits(free_out, out) and _same_bits(free_c, c_new)
+        h, c = out, c_new
+    for rows in (record.xh, record.z, record.c, record.tc):
+        assert np.isfinite(rows).all()
+    assert _same_bits(record.c[0], c_prev) and _same_bits(record.c[steps], c)
 
 
 def _sequence_loss(layers, inputs, probe):
@@ -171,7 +177,7 @@ def _sequence_loss(layers, inputs, probe):
     total = 0.0
     records = [LstmRecord.empty(p, len(inputs), 1) for p in layers]
     for t, x in enumerate(inputs):
-        out, state = lstm_step_record(layers, x, state, [r.step(t) for r in records])
+        out, state = lstm_step_record(layers, x, state, records, t)
         total += float(probe[t][0] @ out[0])
     return total, records
 
